@@ -43,13 +43,26 @@ refusing the user's own request is the ladder's job to discover and
 report, not the analyzer's to silently skip.  The preflight is a pure
 function of the static platform (it ignores churn and bindings and never
 advances the virtual clock), so seeded replay stays bit-identical.
+
+**One ladder, two drivers.**  The ladder walk (:func:`climb`, over the
+rungs of :func:`ladder_rungs`) and the churn-aware executor
+(:func:`execute`) are written once, as coroutines over a small per-run
+port: ``now``, ``churn``, and awaitable ``sleep``, ``sleep_until``,
+``select``, ``bind`` and ``rebind``.  :class:`SelectionPipeline` drives
+them over a port that acts at once on its own churn and binder, so each
+coroutine finishes in a single step; the multi-tenant service
+(:mod:`repro.service`) awaits the same coroutines on its virtual-time
+kernel, over a port that turns selections and binds into dispatcher
+operations.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -76,6 +89,14 @@ __all__ = [
     "SelectionOutcome",
     "SelectionPipeline",
     "PipelineError",
+    "Climb",
+    "Execution",
+    "climb",
+    "execute",
+    "ladder_rungs",
+    "respecifications",
+    "fastest_free",
+    "miss_latency",
     "select_once",
     "backoff_jitter",
 ]
@@ -228,13 +249,16 @@ class SelectionOutcome:
         }
 
 
+
+
 def backoff_jitter(seed: int, backend: str, spec_index: int, attempt: int) -> float:
     """Deterministic backoff jitter in [0.5, 1.5).
 
-    ``backend`` is a free-form key: the pipeline passes the backend name,
-    the multi-tenant service mixes the tenant/request id in so that two
-    tenants refused at the same instant back off by different amounts
-    (synchronized retries would collide forever).
+    ``backend`` is a free-form key: :func:`climb` passes the backend name
+    followed by its ``jitter_tag``, which the multi-tenant service sets to
+    the tenant/request id so that two tenants refused at the same instant
+    back off by different amounts (synchronized retries would collide
+    forever).
     """
     digest = hashlib.sha256(
         f"pipeline:{seed}:{backend}:{spec_index}:{attempt}".encode()
@@ -242,7 +266,26 @@ def backoff_jitter(seed: int, backend: str, spec_index: int, attempt: int) -> fl
     return 0.5 + int.from_bytes(digest[:8], "big") / 2**64
 
 
-_jitter = backoff_jitter
+def _advertised(free, max_machines: int):
+    """The free hosts ClassAd advertises: matchmaking is per-machine, so a
+    large universe is strided down to about ``max_machines`` ads."""
+    return free[:: max(1, len(free) // max_machines)]
+
+
+def miss_latency(
+    platform: Platform, backend: str, n_free: int, max_classad_machines: int = 400
+) -> float:
+    """Virtual latency of a selection that returns no hosts.
+
+    vgES and SWORD charge one pass over the cluster table; ClassAd charges
+    per advertised ad — the ``n_free`` free hosts (read only for ClassAd),
+    strided as :func:`select_once` advertises them.  :func:`select_once`
+    charges these on a miss, and the service's index short-circuit
+    charges them without building an engine.
+    """
+    if backend == "classad":
+        return max(1, len(_advertised(range(n_free), max_classad_machines))) * 1e-5
+    return platform.n_clusters * 1e-5
 
 
 def select_once(
@@ -284,7 +327,7 @@ def select_once(
         with observe.span("pipeline.select.vges"):
             vg = engine.find_and_bind(spec.to_vgdl())
         if vg is None:
-            return None, engine.platform.n_clusters * 1e-5
+            return None, miss_latency(platform, backend, 0)
         return vg.all_hosts(), vg.selection_time
     if backend == "sword":
         engine = None if engine_cache is None else engine_cache.get("sword")
@@ -296,24 +339,21 @@ def select_once(
                 engine_cache["sword"] = engine
         with observe.span("pipeline.select.sword"):
             result = engine.query(spec.to_sword_xml())
-        latency = platform.n_clusters * 1e-5
+        latency = miss_latency(platform, backend, 0)
         if result is None:
             return None, latency
         return result.all_hosts(), latency
-    # classad: advertise the free hosts (strided when the universe is
-    # large — matchmaking is per-machine) and gangmatch the request.
+    # classad: advertise the free hosts and gangmatch the request.
     cached = None if engine_cache is None else engine_cache.get("classad")
     if cached is None:
         free = sorted(h for h in range(platform.n_hosts) if h not in unavailable)
-        stride = max(1, len(free) // max_classad_machines)
-        ads = machine_ads(platform, free[::stride])
-        mm = Matchmaker(ads, indexing=indexing)
+        ads = machine_ads(platform, _advertised(free, max_classad_machines))
+        latency = miss_latency(platform, backend, len(free), max_classad_machines)
+        cached = (Matchmaker(ads, indexing=indexing), len(ads), latency)
         if engine_cache is not None:
-            engine_cache["classad"] = (mm, ads)
-    else:
-        mm, ads = cached
-    latency = max(1, len(ads)) * 1e-5
-    if spec.size > len(ads):
+            engine_cache["classad"] = cached
+    mm, n_ads, latency = cached
+    if spec.size > n_ads:
         return None, latency
     with observe.span("pipeline.select.classad"):
         gang = mm.gangmatch(parse_classad(spec.to_classad()))
@@ -324,6 +364,335 @@ def select_once(
         hid = evaluate(ad.get("HostId"), EvalContext(my=ad))
         hosts.append(int(hid))
     return np.asarray(sorted(hosts), dtype=np.int64), latency
+
+
+def fastest_free(platform: Platform, unavailable: set[int], need: int) -> list[int]:
+    """The rebind rule: the ``need`` fastest hosts outside ``unavailable``,
+    ties broken by host id."""
+    free = sorted(
+        (h for h in range(platform.n_hosts) if h not in unavailable),
+        key=lambda h: (-platform.host_clock[h], h),
+    )
+    return free[:need]
+
+
+# ----------------------------------------------------------------------
+# The degradation ladder and the executor, written once
+# ----------------------------------------------------------------------
+def respecifications(
+    dag: DAG, spec: ResourceSpecification, platform: Platform, max_respecs: int
+) -> list[ResourceSpecification]:
+    """The Fig. VII-6/7 alternatives to a refused ``spec`` on ``platform``,
+    capped at ``max_respecs``."""
+    clocks = tuple(sorted({c.clock_ghz for c in platform.clusters}, reverse=True))
+    with observe.span("pipeline.respecify"):
+        alts = alternative_specifications(dag, spec, clocks, platform=platform)
+    # Drop alternatives identical to the original request — retrying the
+    # same rung is the *retry* rung's job, not respecification.
+    original = (spec.size, spec.clock_min_mhz, spec.clock_max_mhz)
+    return [
+        a for a, _ in alts if (a.size, a.clock_min_mhz, a.clock_max_mhz) != original
+    ][:max_respecs]
+
+
+def ladder_rungs(
+    spec: ResourceSpecification,
+    alternatives: Callable[[], list[ResourceSpecification]],
+    preflight: Callable[[ResourceSpecification], bool],
+    counts: dict[str, int],
+) -> Iterator[tuple[int, ResourceSpecification]]:
+    """``(spec_index, spec)`` rungs: the original spec, then alternatives.
+
+    ``alternatives()`` is called only when the ladder climbs past the
+    original, so a first-rung success never pays for the Fig. VII-6
+    sweeps.  An alternative that an earlier (already-tried) rung subsumes
+    (SPEC141: every platform satisfying it would have satisfied the failed
+    earlier rung, so retrying is pointless), or that ``preflight`` proves
+    unsatisfiable on the platform, is skipped — its index stays burnt, so
+    ``spec_index`` in attempts/outcomes still names the ladder position —
+    and counted in ``counts["respecs_pruned"]`` / ``pipeline.respecs_pruned``.
+    The original specification (index 0) is never pruned.
+    """
+    yield 0, spec
+    from repro.analysis.passes import subsumes
+
+    tried = [spec]
+    for s_idx, alt in enumerate(alternatives(), start=1):
+        if any(subsumes(earlier, alt) for earlier in tried) or not preflight(alt):
+            counts["respecs_pruned"] += 1
+            observe.inc("pipeline.respecs_pruned")
+            continue
+        tried.append(alt)
+        yield s_idx, alt
+
+
+@dataclass
+class Climb:
+    """Where one ladder walk ended: every attempt, the ladder counters, and
+    the rung that bound (``bound is None`` when none did)."""
+
+    attempts: list[SelectionAttempt] = field(default_factory=list)
+    counts: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(
+            ("refusals", "respecifications", "backend_fallbacks", "respecs_pruned"), 0
+        )
+    )
+    bound: np.ndarray | None = None
+    backend: str | None = None
+    spec: ResourceSpecification | None = None
+    spec_index: int = 0
+    abort_reason: str | None = None
+
+    def outcome(
+        self,
+        execution: "Execution | None" = None,
+        *,
+        turnaround_s: float | None = None,
+        baseline_turnaround_s: float | None = None,
+    ) -> SelectionOutcome:
+        """The :class:`SelectionOutcome` of this walk and, when the bound
+        DAG ran, of its ``execution``; ``turnaround_s`` is kept only for a
+        fulfilled run."""
+        ran = execution is not None
+        abort_reason = execution.abort_reason if ran else self.abort_reason
+        fulfilled = ran and abort_reason is None
+        return SelectionOutcome(
+            fulfilled=fulfilled,
+            backend=self.backend,
+            spec_index=self.spec_index,
+            final_spec=self.spec,
+            hosts=() if self.bound is None else tuple(int(h) for h in self.bound),
+            attempts=tuple(self.attempts),
+            refusals=self.counts["refusals"],
+            respecifications=self.counts["respecifications"],
+            backend_fallbacks=self.counts["backend_fallbacks"],
+            rebinds=execution.rebinds if ran else 0,
+            segments=execution.segments if ran else 0,
+            tasks_rescheduled=execution.tasks_rescheduled if ran else 0,
+            turnaround_s=turnaround_s if fulfilled else None,
+            baseline_turnaround_s=baseline_turnaround_s,
+            respecs_pruned=self.counts["respecs_pruned"],
+            abort_reason=abort_reason,
+        )
+
+
+async def climb(
+    io,
+    config: PipelineConfig,
+    rungs: Callable[[dict[str, int]], Iterator[tuple[int, ResourceSpecification]]],
+    *,
+    jitter_tag: str,
+    deadline_at: float,
+) -> Climb:
+    """Walk the degradation ladder over the port ``io``.
+
+    Each backend of ``config.backends`` in turn (every one after the first
+    is a fallback) climbs a fresh ``rungs(counts)`` ladder; each rung gets
+    ``1 + config.max_retries`` attempts with a deterministic backoff
+    between them, keyed on the backend name plus ``jitter_tag``.  An
+    attempt selects, waits out the selection latency (the window in which
+    churn races us to the bind), and binds.  The walk ends on the first
+    bind, or with ``deadline_exceeded`` once ``io.now`` reaches
+    ``deadline_at``; a ``breaker_open`` refusal from ``io.select`` ends
+    that backend's rungs.
+    """
+    walk = Climb()
+    counts = walk.counts
+
+    async def try_rung(backend: str, s_idx: int, spec: ResourceSpecification) -> str:
+        for k in range(config.max_retries + 1):
+            if k > 0:
+                delay = config.backoff_s * 2 ** (k - 1)
+                await io.sleep(
+                    delay * backoff_jitter(config.seed, backend + jitter_tag, s_idx, k)
+                )
+            if io.now >= deadline_at:
+                observe.inc("pipeline.deadline_aborts")
+                walk.abort_reason = "deadline_exceeded"
+                walk.attempts.append(
+                    SelectionAttempt(backend, s_idx, k, io.now, "deadline_exceeded")
+                )
+                return "deadline_exceeded"
+            hosts, latency, reason = await io.select(
+                backend, spec, s_idx, k, deadline_at - io.now
+            )
+            await io.sleep(latency)
+            n = 0 if hosts is None else int(hosts.size)
+            if reason is None:
+                if hosts is None or n < spec.min_size:
+                    reason = "insufficient"
+                elif set(int(h) for h in hosts) & io.churn.dead:
+                    reason = "host_lost"
+                else:
+                    reason = await io.bind(hosts, s_idx, k)
+            if reason is None:
+                walk.bound = np.asarray(sorted(int(h) for h in hosts), dtype=np.int64)
+                walk.backend, walk.spec, walk.spec_index = backend, spec, s_idx
+                walk.attempts.append(SelectionAttempt(backend, s_idx, k, io.now, "bound", n))
+                return "bound"
+            counts["refusals"] += 1
+            observe.inc("pipeline.refusals")
+            walk.attempts.append(SelectionAttempt(backend, s_idx, k, io.now, reason, n))
+            if reason == "breaker_open":
+                break
+        return reason
+
+    for b_idx, backend in enumerate(config.backends):
+        if b_idx > 0:
+            counts["backend_fallbacks"] += 1
+            observe.inc("pipeline.backend_fallbacks")
+        # Returning from inside the loop is what keeps a bind (or the
+        # deadline) from pulling — and pricing — the next rung.
+        for s_idx, spec in rungs(counts):
+            if s_idx > 0:
+                counts["respecifications"] += 1
+                observe.inc("pipeline.respecifications")
+            ended = await try_rung(backend, s_idx, spec)
+            if ended in ("bound", "deadline_exceeded"):
+                return walk
+            if ended == "breaker_open":
+                break  # route around the open backend
+    return walk
+
+
+@dataclass(frozen=True)
+class Execution:
+    """How :func:`execute` ended: the hosts still held, what the churn cost,
+    and an abort reason (``None`` when the DAG completed)."""
+
+    hosts: list[int]
+    segments: int
+    tasks_rescheduled: int
+    rebinds: int
+    abort_reason: str | None = None
+
+
+async def execute(
+    io,
+    platform: Platform,
+    dag: DAG,
+    spec: ResourceSpecification,
+    bound: np.ndarray,
+    *,
+    deadline_at: float,
+) -> Execution:
+    """Run ``dag`` on the ``bound`` hosts under churn, over the port ``io``.
+
+    When a held host fails mid-segment, every finished task is kept, the
+    losses are replaced through ``io.rebind`` and only the unfinished
+    tasks are rescheduled.  On return ``io.now`` is the completion time
+    and the hosts are still bound.  Aborts with ``deadline_exceeded`` when
+    a segment cannot finish by ``deadline_at``, and with
+    ``host_exhaustion`` when every host failed and none is free.
+    """
+    hosts = [int(h) for h in bound]
+    sub = dag
+    segments = rescheduled = rebinds = 0
+    while True:
+        segments += 1
+        rc = platform.rc_from_hosts(np.asarray(sorted(hosts), dtype=np.int64))
+        schedule = schedule_dag(spec.heuristic, sub, rc)
+        t0 = io.now
+        end = t0 + schedule.makespan
+        if end > deadline_at:
+            # The segment cannot finish inside the budget: abort now
+            # rather than burn shared capacity past the deadline.
+            return Execution(hosts, segments, rescheduled, rebinds, "deadline_exceeded")
+        # Which of *our* hosts dies first while this segment runs?
+        fail = io.churn.next_failure(set(hosts), until=end)
+        if fail is None:
+            await io.sleep_until(end)
+            return Execution(hosts, segments, rescheduled, rebinds)
+
+        unfinished = np.flatnonzero(schedule.finish > fail.time - t0)
+        await io.sleep_until(fail.time)  # applies the failure (and releases)
+        dead = io.churn.dead
+        n_lost = sum(1 for h in hosts if h in dead)
+        hosts = [h for h in hosts if h not in dead]
+        replacements = await io.rebind(max(1, n_lost))
+        if replacements:
+            hosts.extend(replacements)
+            rebinds += 1
+            observe.inc("pipeline.rebinds")
+        if not hosts:
+            return Execution(hosts, segments, rescheduled, rebinds, "host_exhaustion")
+        if unfinished.size == 0:
+            # The failure hit after the last task finished on our hosts.
+            return Execution(hosts, segments, rescheduled, rebinds)
+        rescheduled += int(unfinished.size)
+        observe.inc("pipeline.tasks_rescheduled", int(unfinished.size))
+        sub = _induced_subdag(sub, unfinished)
+
+
+def _induced_subdag(dag: DAG, keep: np.ndarray) -> DAG:
+    """The sub-DAG induced by the (unfinished) tasks ``keep``.
+
+    Edges from dropped (completed) parents vanish: their outputs are
+    already staged and re-fetchable, so the restarted segment starts from
+    the surviving dependency structure only.
+    """
+    keep = np.asarray(keep, dtype=np.int64)
+    remap = -np.ones(dag.n, dtype=np.int64)
+    remap[keep] = np.arange(keep.size)
+    mask = (remap[dag.edge_src] >= 0) & (remap[dag.edge_dst] >= 0)
+    return DAG(
+        comp=dag.comp[keep],
+        edge_src=remap[dag.edge_src[mask]],
+        edge_dst=remap[dag.edge_dst[mask]],
+        edge_comm=dag.edge_comm[mask],
+        name=f"{dag.name}~resched",
+    )
+
+
+# ----------------------------------------------------------------------
+# The single-run driver
+# ----------------------------------------------------------------------
+class _ChurnPort:
+    """The pipeline's port: every call acts at once on the run's own churn
+    and binder, so a coroutine driven over it never suspends."""
+
+    def __init__(self, pipeline: "SelectionPipeline") -> None:
+        self._pipeline = pipeline
+        self.churn = pipeline.churn
+
+    @property
+    def now(self) -> float:
+        return self.churn.now
+
+    async def sleep(self, delay: float) -> None:
+        self.churn.advance(self.churn.now + delay)
+
+    async def sleep_until(self, time: float) -> None:
+        self.churn.advance(time)
+
+    async def select(self, backend, spec, s_idx, attempt, deadline_remaining_s):
+        return (*self._pipeline._select(backend, spec, deadline_remaining_s), None)
+
+    async def bind(self, hosts, s_idx, attempt) -> str | None:
+        try:
+            self.churn.binder.bind(hosts)
+        except BindingError:
+            return "race"
+        return None
+
+    async def rebind(self, need: int) -> list[int]:
+        churn = self.churn
+        unavailable = churn.unavailable() | churn.binder.bound_hosts
+        replacements = fastest_free(self._pipeline.platform, unavailable, need)
+        if replacements:
+            churn.binder.bind(np.asarray(sorted(replacements), dtype=np.int64))
+        return replacements
+
+
+def _run_now(coro):
+    """Run ``coro`` to completion in a single step: nothing it awaits on a
+    :class:`_ChurnPort` suspends."""
+    try:
+        coro.send(None)
+    except StopIteration as done:
+        return done.value
+    coro.close()
+    raise PipelineError("a ladder coroutine suspended on the pipeline's port")
 
 
 @dataclass
@@ -347,14 +716,6 @@ class SelectionPipeline:
         default_factory=dict, init=False, repr=False
     )
 
-    # ------------------------------------------------------------------
-    # Selection backends
-    # ------------------------------------------------------------------
-    def _free_hosts(self) -> set[int]:
-        """Hosts a selection may currently return."""
-        banned = self.churn.unavailable() | self.churn.binder.bound_hosts
-        return {h for h in range(self.platform.n_hosts) if h not in banned}
-
     def _select(
         self, backend: str, spec: ResourceSpecification,
         deadline_remaining_s: float | None = None,
@@ -371,181 +732,39 @@ class SelectionPipeline:
             deadline_remaining_s=deadline_remaining_s,
         )
 
-    # ------------------------------------------------------------------
-    # The degradation ladder
-    # ------------------------------------------------------------------
-    def _spec_ladder(self, dag: DAG, spec: ResourceSpecification) -> list[ResourceSpecification]:
-        if self.alternatives is None:
-            clocks = tuple(sorted({c.clock_ghz for c in self.platform.clusters}, reverse=True))
-            with observe.span("pipeline.respecify"):
-                alts = alternative_specifications(dag, spec, clocks, platform=self.platform)
-            # Drop alternatives identical to the original request — retrying
-            # the same rung is the *retry* rung's job, not respecification.
-            self.alternatives = [
-                a
-                for a, _ in alts
-                if (a.size, a.clock_min_mhz, a.clock_max_mhz)
-                != (spec.size, spec.clock_min_mhz, spec.clock_max_mhz)
-            ][: self.config.max_respecs]
-        return [spec] + list(self.alternatives[: self.config.max_respecs])
-
     def run(self, dag: DAG, spec: ResourceSpecification) -> SelectionOutcome:
         """Select, bind and execute ``dag`` under churn; never raises on
         fulfillment failure (returns an unfulfilled outcome instead)."""
         cfg = self.config
         churn = self.churn
-        binder = churn.binder
-        attempts: list[SelectionAttempt] = []
-        counts = {
-            "refusals": 0,
-            "respecifications": 0,
-            "backend_fallbacks": 0,
-            "rebinds": 0,
-            "respecs_pruned": 0,
-        }
 
-        def refuse(backend: str, s_idx: int, k: int, reason: str, n: int = 0) -> None:
-            counts["refusals"] += 1
-            observe.inc("pipeline.refusals")
-            attempts.append(SelectionAttempt(backend, s_idx, k, churn.now, reason, n))
-
-        bound: np.ndarray | None = None
-        used_backend: str | None = None
-        used_spec: ResourceSpecification | None = None
-        used_index = 0
-        churn.advance(churn.now)  # apply any events pending at t = now
-        deadline_at = churn.now + cfg.deadline_s
-        deadline_hit = False
-        with observe.span("pipeline.run"):
-            for b_idx, backend in enumerate(cfg.backends):
-                if bound is not None or deadline_hit:
-                    break
-                if b_idx > 0:
-                    counts["backend_fallbacks"] += 1
-                    observe.inc("pipeline.backend_fallbacks")
-                # Advanced by hand: a for-statement would pull (and price —
-                # preflight, subsumption) the next rung before noticing a
-                # successful bind ended the climb.
-                ladder = self._iter_ladder(dag, spec, counts)
-                while bound is None and not deadline_hit:
-                    try:
-                        s_idx, sp = next(ladder)
-                    except StopIteration:
-                        break
-                    if s_idx > 0:
-                        counts["respecifications"] += 1
-                        observe.inc("pipeline.respecifications")
-                    for k in range(cfg.max_retries + 1):
-                        if k > 0:
-                            delay = cfg.backoff_s * 2 ** (k - 1)
-                            delay *= _jitter(cfg.seed, backend, s_idx, k)
-                            churn.advance(churn.now + delay)
-                        if churn.now >= deadline_at:
-                            deadline_hit = True
-                            observe.inc("pipeline.deadline_aborts")
-                            attempts.append(SelectionAttempt(
-                                backend, s_idx, k, churn.now, "deadline_exceeded"
-                            ))
-                            break
-                        hosts, latency = self._select(
-                            backend, sp, deadline_at - churn.now
-                        )
-                        # The selection window: churn races us to the bind.
-                        churn.advance(churn.now + latency)
-                        if hosts is None or hosts.size < sp.min_size:
-                            refuse(backend, s_idx, k, "insufficient",
-                                   0 if hosts is None else int(hosts.size))
-                            continue
-                        if set(int(h) for h in hosts) & churn.dead:
-                            refuse(backend, s_idx, k, "host_lost", int(hosts.size))
-                            continue
-                        try:
-                            bound = binder.bind(hosts)
-                        except BindingError:
-                            refuse(backend, s_idx, k, "race", int(hosts.size))
-                            continue
-                        attempts.append(
-                            SelectionAttempt(
-                                backend, s_idx, k, churn.now, "bound", int(bound.size)
-                            )
-                        )
-                        used_backend, used_spec, used_index = backend, sp, s_idx
-                        break
-
-            if bound is None:
-                return SelectionOutcome(
-                    fulfilled=False,
-                    backend=None,
-                    spec_index=0,
-                    final_spec=None,
-                    hosts=(),
-                    attempts=tuple(attempts),
-                    refusals=counts["refusals"],
-                    respecifications=counts["respecifications"],
-                    backend_fallbacks=counts["backend_fallbacks"],
-                    rebinds=counts["rebinds"],
-                    segments=0,
-                    tasks_rescheduled=0,
-                    turnaround_s=None,
-                    baseline_turnaround_s=None,
-                    respecs_pruned=counts["respecs_pruned"],
-                    abort_reason="deadline_exceeded" if deadline_hit else None,
+        def alternatives() -> list[ResourceSpecification]:
+            if self.alternatives is None:
+                self.alternatives = respecifications(
+                    dag, spec, self.platform, cfg.max_respecs
                 )
+            return self.alternatives[: cfg.max_respecs]
 
-            segments, rescheduled, rebinds = self._execute(dag, used_spec, bound)
-            counts["rebinds"] += rebinds
+        churn.advance(churn.now)  # apply any events pending at t = now
+        with observe.span("pipeline.run"):
+            walk = _run_now(
+                climb(
+                    _ChurnPort(self),
+                    cfg,
+                    functools.partial(ladder_rungs, spec, alternatives, self._preflight),
+                    jitter_tag="",
+                    deadline_at=churn.now + cfg.deadline_s,
+                )
+            )
+            if walk.bound is None:
+                return walk.outcome()
+            execution = self._execute(dag, walk.spec, walk.bound)
             turnaround = churn.now
-
-        baseline = self._baseline_turnaround(dag, spec)
-        return SelectionOutcome(
-            fulfilled=True,
-            backend=used_backend,
-            spec_index=used_index,
-            final_spec=used_spec,
-            hosts=tuple(int(h) for h in bound),
-            attempts=tuple(attempts),
-            refusals=counts["refusals"],
-            respecifications=counts["respecifications"],
-            backend_fallbacks=counts["backend_fallbacks"],
-            rebinds=counts["rebinds"],
-            segments=segments,
-            tasks_rescheduled=rescheduled,
+        return walk.outcome(
+            execution,
             turnaround_s=turnaround,
-            baseline_turnaround_s=baseline,
-            respecs_pruned=counts["respecs_pruned"],
+            baseline_turnaround_s=self._baseline_turnaround(dag, spec),
         )
-
-    def _iter_ladder(self, dag: DAG, spec: ResourceSpecification, counts=None):
-        """``(spec_index, spec)`` rungs: the original spec, then alternatives
-        — computed lazily so a first-rung success never pays for the
-        Fig. VII-6 sweeps.
-
-        Alternatives the static preflight proves unsatisfiable on the
-        platform, and alternatives an earlier (already-tried) rung subsumes
-        (SPEC141: every platform satisfying the alternative would have
-        satisfied the failed earlier rung, so retrying is pointless), are
-        skipped — their index stays burnt, so ``spec_index`` in
-        attempts/outcomes still names the ladder position — and counted in
-        ``counts["respecs_pruned"]`` / ``pipeline.respecs_pruned``.  The
-        original specification (index 0) is never pruned.
-        """
-        from repro.analysis.passes import subsumes
-
-        yield 0, spec
-        tried = [spec]
-        for s_idx, alt in enumerate(self._spec_ladder(dag, spec)[1:], start=1):
-            if any(subsumes(earlier, alt) for earlier in tried):
-                if counts is not None:
-                    counts["respecs_pruned"] += 1
-                observe.inc("pipeline.respecs_pruned")
-                continue
-            if not self._preflight(alt):
-                if counts is not None:
-                    counts["respecs_pruned"] += 1
-                observe.inc("pipeline.respecs_pruned")
-                continue
-            tried.append(alt)
-            yield s_idx, alt
 
     def _preflight(self, spec: ResourceSpecification) -> bool:
         """Cached static satisfiability of one spec on the platform."""
@@ -556,83 +775,25 @@ class SelectionPipeline:
             self._preflight_ok[key] = ok
         return ok
 
-    # ------------------------------------------------------------------
-    # Execution with mid-run host loss
-    # ------------------------------------------------------------------
     def _execute(
         self, dag: DAG, spec: ResourceSpecification, bound: np.ndarray
-    ) -> tuple[int, int, int]:
-        """Run ``dag`` on the bound hosts under churn.
-
-        Returns ``(segments, tasks_rescheduled, rebinds)``; on return the
-        churn clock sits at the DAG's completion time and the hosts remain
-        bound (callers may release them).
-        """
-        churn = self.churn
-        binder = churn.binder
-        hosts = [int(h) for h in bound]
-        # Current sub-DAG and the original ids of its tasks.
-        sub = dag
-        orig_ids = np.arange(dag.n)
-        segments = 0
-        rescheduled = 0
-        rebinds = 0
-
-        while True:
-            segments += 1
-            rc = self.platform.rc_from_hosts(np.asarray(sorted(hosts), dtype=np.int64))
-            schedule = schedule_dag(spec.heuristic, sub, rc)
-            t0 = churn.now
-            end = t0 + schedule.makespan
-            # Which *our* host dies first while this segment runs?
-            fail = churn.next_failure(set(hosts), until=end)
-            if fail is None:
-                churn.advance(end)
-                return segments, rescheduled, rebinds
-
-            elapsed = fail.time - t0
-            unfinished = np.flatnonzero(schedule.finish > elapsed)
-            churn.advance(fail.time)  # applies the failure (and releases)
-            lost_now = [h for h in hosts if h in churn.dead]
-            hosts = [h for h in hosts if h not in churn.dead]
-
-            # Replace the losses with the fastest free hosts available.
-            need = max(1, len(lost_now))
-            free = sorted(
-                self._free_hosts(),
-                key=lambda h: (-self.platform.host_clock[h], h),
-            )
-            replacements = free[:need]
-            if replacements:
-                binder.bind(np.asarray(sorted(replacements), dtype=np.int64))
-                hosts.extend(int(h) for h in replacements)
-                rebinds += 1
-                observe.inc("pipeline.rebinds")
-            if not hosts:
-                raise PipelineError(
-                    "every bound host failed and no replacement is free"
-                )
-
-            if unfinished.size == 0:
-                # The failure hit after the last task finished on our hosts.
-                return segments, rescheduled, rebinds
-            rescheduled += int(unfinished.size)
-            observe.inc("pipeline.tasks_rescheduled", int(unfinished.size))
-            sub, orig_ids = _induced_subdag(sub, orig_ids, unfinished)
+    ) -> Execution:
+        """:func:`execute` over this run's churn, with no deadline; every
+        host failing with no free replacement raises :class:`PipelineError`."""
+        done = _run_now(
+            execute(_ChurnPort(self), self.platform, dag, spec, bound, deadline_at=math.inf)
+        )
+        if done.abort_reason is not None:
+            raise PipelineError("every bound host failed and no replacement is free")
+        return done
 
     def _baseline_turnaround(self, dag: DAG, spec: ResourceSpecification) -> float | None:
         """Turnaround of the undisturbed run: same platform, no churn, no
         background load, an empty binder."""
         quiet = ResourceChurn.from_config(self.platform, ChurnConfig(), Binder(self.platform))
-        baseline = SelectionPipeline(
-            platform=self.platform,
-            churn=quiet,
-            config=self.config,
-            alternatives=self.alternatives,
-        )
+        baseline = SelectionPipeline(self.platform, quiet, self.config)
         with observe.use_registry(observe.MetricsRegistry()):
-            outcome = baseline._run_undisturbed(dag, spec)
-        return outcome
+            return baseline._run_undisturbed(dag, spec)
 
     def _run_undisturbed(self, dag: DAG, spec: ResourceSpecification) -> float | None:
         """The churn-free reference run (selection latency + makespan)."""
@@ -645,26 +806,3 @@ class SelectionPipeline:
             self._execute(dag, spec, hosts)
             return self.churn.now
         return None
-
-
-def _induced_subdag(
-    dag: DAG, orig_ids: np.ndarray, keep: np.ndarray
-) -> tuple[DAG, np.ndarray]:
-    """The sub-DAG induced by the (unfinished) tasks ``keep``.
-
-    Edges from dropped (completed) parents vanish: their outputs are
-    already staged and re-fetchable, so the restarted segment starts from
-    the surviving dependency structure only.
-    """
-    keep = np.asarray(keep, dtype=np.int64)
-    remap = -np.ones(dag.n, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    mask = (remap[dag.edge_src] >= 0) & (remap[dag.edge_dst] >= 0)
-    sub = DAG(
-        comp=dag.comp[keep],
-        edge_src=remap[dag.edge_src[mask]],
-        edge_dst=remap[dag.edge_dst[mask]],
-        edge_comm=dag.edge_comm[mask],
-        name=f"{dag.name}~resched",
-    )
-    return sub, orig_ids[keep]

@@ -4,9 +4,22 @@ The dissertation's vgFAB exists because many users select and bind
 against one live inventory at once (§II.2.3); a
 :class:`~repro.selection.pipeline.SelectionPipeline` still assumes each
 run owns the platform.  This module runs *N* concurrent tenant requests
-— each walking the same Chapter VII degradation ladder — over one shared
-``Platform`` + ``Binder`` + churn trace, and keeps every run a pure
-function of its seeds.
+over one shared ``Platform`` + ``Binder`` + churn trace, and keeps every
+run a pure function of its seeds.
+
+One ladder
+----------
+Tenants do not carry a ladder or executor of their own: each awaits the
+pipeline's :func:`~repro.selection.pipeline.climb` and
+:func:`~repro.selection.pipeline.execute` coroutines over a per-tenant
+port (:class:`_TenantPort`) whose ``select``, ``bind`` and ``rebind``
+are dispatcher operations and whose sleeps wait on the virtual clock.
+So a tenant prunes, retries, respecifies and falls back exactly as
+``repro select`` does.  Three differences are intended and passed as
+arguments: the backoff jitter key carries the tenant/request id, the
+deadline runs from arrival and also bounds execution, and a tenant
+whose hosts are exhausted gets a ``host_exhaustion`` outcome instead of
+an exception.
 
 Determinism model
 -----------------
@@ -52,7 +65,11 @@ Four layers keep the service degrading gracefully instead of failing:
   baselines, index mask refreshes) above an occupancy threshold.
 * **Circuit breakers** — one per backend, tripping open after K
   consecutive injected failures, routing the ladder around the open
-  backend and half-opening on a deterministic virtual-time cooldown.
+  backend (a ``breaker_open`` refusal ends that backend's rungs) and
+  half-opening on a deterministic virtual-time cooldown.  Breakers,
+  injected backend faults, the index short-circuit and brownout all
+  live in the dispatcher's ``select`` operation; injected bind stalls
+  live in the port's ``bind``.  The ladder only sees refusal reasons.
 * **Failure isolation** — tenant coroutines run under a supervisor (and
   a kernel backstop) that converts any exception into a structured
   aborted outcome and releases the dead tenant's slot and hosts; no
@@ -68,15 +85,19 @@ Accounting
 Fairness and starvation are observable through ``service.*`` counters
 (admissions, refusals, bind_conflicts, completions, batches,
 batched_ops, engine_reuses, index_shortcircuits, preflight_hits,
-churn_events, execution_aborts) and gauges (queue-wait p50/p99 per
-tenant and overall, batch size mean/max).  Per-tenant outcomes reuse
-:class:`~repro.selection.pipeline.SelectionOutcome`, so the established
-``pipeline.*`` counter cross-checks hold per tenant too.
+churn_events, execution_aborts, deadline_aborts — ladder and execution
+aborts together) and gauges (queue-wait p50/p99 per tenant and overall,
+batch size mean/max).  Each per-tenant
+:class:`~repro.selection.pipeline.SelectionOutcome` is built by the
+shared ladder, which bumps the same ``pipeline.*`` counters (including
+``pipeline.respecs_pruned`` and ``pipeline.deadline_aborts``) as a
+pipeline run, so the established cross-checks hold per tenant too.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import hashlib
 import heapq
 import json
@@ -89,7 +110,6 @@ import numpy as np
 
 from repro import observe
 from repro.analysis.preflight import preflight_specification
-from repro.core.alternatives import alternative_specifications
 from repro.core.generator import ResourceSpecification
 from repro.dag.graph import DAG
 from repro.dag.montage import montage_dag, montage_level_counts
@@ -98,17 +118,25 @@ from repro.journal import Journal, inputs_digest
 from repro.resources.binding import Binder
 from repro.resources.churn import ChurnConfig, ResourceChurn, inject_storm
 from repro.resources.platform import Platform
-from repro.scheduling.base import schedule_dag
 from repro.selection.index import HostIndex
 from repro.selection.pipeline import (
+    Climb,
     PipelineConfig,
-    SelectionAttempt,
     SelectionOutcome,
     SelectionPipeline,
-    _induced_subdag,
-    backoff_jitter,
+    climb,
+    execute,
+    fastest_free,
+    ladder_rungs,
+    miss_latency,
+    respecifications,
     select_once,
 )
+
+# The shared ladder calls these from repro.selection.pipeline; bench/trace.py
+# also wraps them here, as attributes of this module, and needs them to exist.
+from repro.core.alternatives import alternative_specifications  # noqa: F401
+from repro.scheduling.base import schedule_dag  # noqa: F401
 
 __all__ = [
     "ServiceError",
@@ -503,28 +531,6 @@ class _Op:
     future: ServiceFuture
 
 
-def _aborted_outcome(reason: str) -> SelectionOutcome:
-    """A zeroed, unfulfilled :class:`SelectionOutcome` for aborts that
-    happen outside the ladder (tenant crashes, kernel isolation)."""
-    return SelectionOutcome(
-        fulfilled=False,
-        backend=None,
-        spec_index=0,
-        final_spec=None,
-        hosts=(),
-        attempts=(),
-        refusals=0,
-        respecifications=0,
-        backend_fallbacks=0,
-        rebinds=0,
-        segments=0,
-        tasks_rescheduled=0,
-        turnaround_s=None,
-        baseline_turnaround_s=None,
-        abort_reason=reason,
-    )
-
-
 def _spec_key(spec: ResourceSpecification) -> tuple:
     return (
         spec.heuristic,
@@ -543,6 +549,50 @@ def _percentile(sorted_values: Sequence[float], pct: float) -> float:
         return 0.0
     rank = max(1, int(np.ceil(pct / 100.0 * len(sorted_values))))
     return float(sorted_values[min(rank, len(sorted_values)) - 1])
+
+
+class _TenantPort:
+    """One request's port onto the shared ladder and executor
+    (:func:`~repro.selection.pipeline.climb`,
+    :func:`~repro.selection.pipeline.execute`): selections, binds and
+    rebinds become dispatcher operations, and sleeps wait on the virtual
+    clock.  Injected bind stalls happen here, so the ladder sees only the
+    refusal reason they cause."""
+
+    def __init__(self, service: "SelectionService", tenant: int, rid: int) -> None:
+        self._service = service
+        self._tenant = tenant
+        self._rid = rid
+        self.churn = service._churn
+        self.sleep = service._clock.sleep
+        self.sleep_until = service._clock.sleep_until
+
+    @property
+    def now(self) -> float:
+        return self._service._kernel.now
+
+    def _call(self, kind: str, payload: Any):
+        return self._service._call(kind, self._tenant, self._rid, payload)
+
+    def select(self, backend, spec, s_idx, attempt, deadline_remaining_s):
+        return self._call("select", (backend, spec, s_idx, attempt, deadline_remaining_s))
+
+    async def bind(self, hosts: np.ndarray, s_idx: int, attempt: int) -> str | None:
+        faults = self._service.faults
+        if faults is not None:
+            stall = faults.bind_stall(self._tenant, self._rid, s_idx, attempt, self.now)
+            if stall > 0:
+                # A stalled binder widens the selection window, inviting
+                # races and host loss.
+                observe.inc("service.bind_stalls")
+                await self.sleep(stall)
+                if set(int(h) for h in hosts) & self.churn.dead:
+                    return "host_lost"
+        conflicts = await self._call("bind", hosts)
+        return "race" if conflicts else None
+
+    def rebind(self, need: int):
+        return self._call("rebind", need)
 
 
 # ======================================================================
@@ -731,7 +781,7 @@ class SelectionService:
             arrival_s=req.arrival_s,
             admitted=rid in getattr(self, "_admitted_live", set()),
             queue_wait_s=None,
-            outcome=_aborted_outcome("tenant_crash"),
+            outcome=Climb(abort_reason="tenant_crash").outcome(),
             completion_s=None,
             priority=req.priority,
         )
@@ -994,18 +1044,14 @@ class SelectionService:
         breaker["fails"] = 0
 
     def _miss_latency(self, backend: str) -> float:
-        """Selection latency of a refused query, without the engine.
-
-        Must match :func:`select_once` exactly: vgES and SWORD charge a
-        linear cluster-table pass; ClassAd charges per advertised ad
-        (the free-host count strided to ``max_classad_machines``).
-        """
-        if backend in ("vges", "sword"):
-            return self.platform.n_clusters * 1e-5
-        n_free = self._index.available_count()
-        stride = max(1, n_free // self.config.pipeline.max_classad_machines)
-        n_ads = len(range(0, n_free, stride))
-        return max(1, n_ads) * 1e-5
+        """Latency of a refused query, without the engine: the shared
+        :func:`~repro.selection.pipeline.miss_latency` rule."""
+        return miss_latency(
+            self.platform,
+            backend,
+            self._index.available_count(),
+            self.config.pipeline.max_classad_machines,
+        )
 
     def _op_bind(self, op: _Op) -> None:
         hosts = np.asarray(op.payload)
@@ -1021,13 +1067,8 @@ class SelectionService:
         op.future.resolve(conflicts)
 
     def _op_rebind(self, op: _Op) -> None:
-        need = int(op.payload)
         unavailable = self._churn.unavailable() | self._binder.bound_hosts
-        free = sorted(
-            (h for h in range(self.platform.n_hosts) if h not in unavailable),
-            key=lambda h: (-self.platform.host_clock[h], h),
-        )
-        replacements = free[:need]
+        replacements = fastest_free(self.platform, unavailable, int(op.payload))
         if replacements:
             conflicts = self._binder.try_bind(
                 np.asarray(sorted(replacements), dtype=np.int64)
@@ -1071,19 +1112,9 @@ class SelectionService:
                 # cached, so the ladder reappears when pressure lifts.
                 observe.inc("service.brownout_skips")
                 return []
-            clocks = tuple(
-                sorted({c.clock_ghz for c in self.platform.clusters}, reverse=True)
+            alts = respecifications(
+                dag, spec, self.platform, self.config.pipeline.max_respecs
             )
-            with observe.span("pipeline.respecify"):
-                raw = alternative_specifications(
-                    dag, spec, clocks, platform=self.platform
-                )
-            alts = [
-                a
-                for a, _ in raw
-                if (a.size, a.clock_min_mhz, a.clock_max_mhz)
-                != (spec.size, spec.clock_min_mhz, spec.clock_max_mhz)
-            ][: self.config.pipeline.max_respecs]
             self._ladder_cache[key] = alts
         else:
             observe.inc("service.ladder_shared_hits")
@@ -1104,7 +1135,7 @@ class SelectionService:
             observe.inc("service.preflight_hits")
         return ok
 
-    def _baseline(self, dag: DAG, spec: ResourceSpecification, alternatives: list) -> float | None:
+    def _baseline(self, dag: DAG, spec: ResourceSpecification) -> float | None:
         key = (id(dag), _spec_key(spec))  # lint: allow DET006 (in-process cache)
         if key in self._baseline_cache:
             observe.inc("service.baseline_shared_hits")
@@ -1112,24 +1143,10 @@ class SelectionService:
             observe.inc("service.brownout_skips")
             return None
         else:
-            pipe = SelectionPipeline(
-                platform=self.platform,
-                churn=self._churn,  # unused by the baseline (quiet copy inside)
-                config=self.config.pipeline,
-                alternatives=list(alternatives),
-            )
+            # The baseline runs on a quiet copy; this run's churn is unused.
+            pipe = SelectionPipeline(self.platform, self._churn, self.config.pipeline)
             self._baseline_cache[key] = pipe._baseline_turnaround(dag, spec)
         return self._baseline_cache[key]
-
-    def _iter_ladder(self, dag: DAG, spec: ResourceSpecification, counts: dict):
-        """Mirror of ``SelectionPipeline._iter_ladder`` over shared caches."""
-        yield 0, spec
-        for s_idx, alt in enumerate(self._alternatives(dag, spec), start=1):
-            if not self._preflight(alt):
-                counts["respecs_pruned"] += 1
-                observe.inc("pipeline.respecs_pruned")
-                continue
-            yield s_idx, alt
 
     # ------------------------------------------------------------------
     # The per-tenant coroutine
@@ -1158,13 +1175,12 @@ class SelectionService:
                 arrival_s=req.arrival_s,
                 admitted=was_admitted,
                 queue_wait_s=None,
-                outcome=_aborted_outcome("tenant_crash"),
+                outcome=Climb(abort_reason="tenant_crash").outcome(),
                 completion_s=self._clock.now,
                 priority=req.priority,
             )
 
     async def _tenant_body(self, req: TenantRequest, request_id: int) -> TenantOutcome:
-        cfg = self.config.pipeline
         clock = self._clock
         faults = self.faults
 
@@ -1198,181 +1214,50 @@ class SelectionService:
                 f"injected tenant crash (select) tenant={req.tenant} rid={request_id}"
             )
 
-        deadline_budget = (
-            req.deadline_s if req.deadline_s is not None else self.config.deadline_s
+        budget = req.deadline_s if req.deadline_s is not None else self.config.deadline_s
+        deadline_at = req.arrival_s + budget
+        port = _TenantPort(self, req.tenant, request_id)
+        walk = await climb(
+            port,
+            self.config.pipeline,
+            functools.partial(
+                ladder_rungs,
+                req.spec,
+                lambda: self._alternatives(req.dag, req.spec),
+                self._preflight,
+            ),
+            # Mixing the tenant/request id into the jitter key desynchronizes
+            # retries: two tenants refused at the same instant back off by
+            # different amounts instead of colliding forever.
+            jitter_tag=f"@tenant{req.tenant}.{request_id}",
+            deadline_at=deadline_at,
         )
-        deadline_at = req.arrival_s + deadline_budget
-        abort_reason: str | None = None
-
-        attempts: list[SelectionAttempt] = []
-        counts = {
-            "refusals": 0,
-            "respecifications": 0,
-            "backend_fallbacks": 0,
-            "rebinds": 0,
-            "respecs_pruned": 0,
-        }
-
-        def refuse(backend: str, s_idx: int, k: int, reason: str, n: int = 0) -> None:
-            counts["refusals"] += 1
-            observe.inc("pipeline.refusals")
-            attempts.append(SelectionAttempt(backend, s_idx, k, clock.now, reason, n))
-
-        bound: np.ndarray | None = None
-        used_backend: str | None = None
-        used_spec: ResourceSpecification | None = None
-        used_index = 0
-        # Mixing the tenant/request id into the jitter key desynchronizes
-        # retries: two tenants refused at the same instant back off by
-        # different amounts instead of colliding forever.
-        jitter_tag = f"@tenant{req.tenant}.{request_id}"
-        for b_idx, backend in enumerate(cfg.backends):
-            if bound is not None or abort_reason is not None:
-                break
-            if b_idx > 0:
-                counts["backend_fallbacks"] += 1
-                observe.inc("pipeline.backend_fallbacks")
-            backend_down = False
-            for s_idx, sp in self._iter_ladder(req.dag, req.spec, counts):
-                if bound is not None or abort_reason is not None or backend_down:
-                    break
-                if s_idx > 0:
-                    counts["respecifications"] += 1
-                    observe.inc("pipeline.respecifications")
-                for k in range(cfg.max_retries + 1):
-                    if k > 0:
-                        delay = cfg.backoff_s * 2 ** (k - 1)
-                        delay *= backoff_jitter(cfg.seed, backend + jitter_tag, s_idx, k)
-                        await clock.sleep(delay)
-                    if clock.now >= deadline_at:
-                        abort_reason = "deadline_exceeded"
-                        observe.inc("service.deadline_aborts")
-                        attempts.append(SelectionAttempt(
-                            backend, s_idx, k, clock.now, "deadline_exceeded"
-                        ))
-                        break
-                    remaining = (
-                        None if deadline_at == math.inf else deadline_at - clock.now
-                    )
-                    hosts, latency, fail_reason = await self._call(
-                        "select",
-                        req.tenant,
-                        request_id,
-                        (backend, sp, s_idx, k, remaining),
-                    )
-                    # The selection window: churn and the other tenants
-                    # race us to the bind.
-                    await clock.sleep(latency)
-                    if fail_reason == "breaker_open":
-                        # Route around the open backend: straight to the
-                        # next rung of the backend ladder.
-                        refuse(backend, s_idx, k, "breaker_open")
-                        backend_down = True
-                        break
-                    if fail_reason is not None:  # backend_error | backend_hang
-                        refuse(backend, s_idx, k, fail_reason)
-                        continue
-                    if hosts is None or hosts.size < sp.min_size:
-                        refuse(backend, s_idx, k, "insufficient",
-                               0 if hosts is None else int(hosts.size))
-                        continue
-                    if set(int(h) for h in hosts) & self._churn.dead:
-                        refuse(backend, s_idx, k, "host_lost", int(hosts.size))
-                        continue
-                    if faults is not None:
-                        stall = faults.bind_stall(
-                            req.tenant, request_id, s_idx, k, clock.now
-                        )
-                        if stall > 0:
-                            # A stalled binder widens the selection window,
-                            # inviting races and host loss.
-                            observe.inc("service.bind_stalls")
-                            await clock.sleep(stall)
-                            if set(int(h) for h in hosts) & self._churn.dead:
-                                refuse(backend, s_idx, k, "host_lost", int(hosts.size))
-                                continue
-                    conflicts = await self._call("bind", req.tenant, request_id, hosts)
-                    if conflicts:
-                        refuse(backend, s_idx, k, "race", int(hosts.size))
-                        continue
-                    bound = np.asarray(sorted(int(h) for h in hosts), dtype=np.int64)
-                    attempts.append(
-                        SelectionAttempt(
-                            backend, s_idx, k, clock.now, "bound", int(bound.size)
-                        )
-                    )
-                    used_backend, used_spec, used_index = backend, sp, s_idx
-                    break
-
-        if bound is None:
-            await self._call("finish", req.tenant, request_id, ())
-            outcome = SelectionOutcome(
-                fulfilled=False,
-                backend=None,
-                spec_index=0,
-                final_spec=None,
-                hosts=(),
-                attempts=tuple(attempts),
-                refusals=counts["refusals"],
-                respecifications=counts["respecifications"],
-                backend_fallbacks=counts["backend_fallbacks"],
-                rebinds=counts["rebinds"],
-                segments=0,
-                tasks_rescheduled=0,
-                turnaround_s=None,
-                baseline_turnaround_s=None,
-                respecs_pruned=counts["respecs_pruned"],
-                abort_reason=abort_reason,
-            )
-            return TenantOutcome(
-                tenant=req.tenant,
-                request_id=request_id,
-                arrival_s=req.arrival_s,
-                admitted=True,
-                queue_wait_s=wait,
-                outcome=outcome,
-                completion_s=clock.now,
-                priority=req.priority,
-            )
-
-        assert used_spec is not None
-        if faults is not None and faults.tenant_crash(
-            req.tenant, request_id, "bound", clock.now
-        ):
-            raise InjectedFault(
-                f"injected tenant crash (bound) tenant={req.tenant} rid={request_id}"
-            )
-        held, segments, rescheduled, exec_abort = await self._run_dag(
-            req, request_id, used_spec, bound, counts, deadline_at
-        )
-        if exec_abort == "host_exhaustion":
-            observe.inc("service.execution_aborts")
-        aborted = exec_abort is not None
+        execution = None
         baseline = None
-        if not aborted:
-            baseline = self._baseline(
-                req.dag, req.spec, self._alternatives(req.dag, req.spec)
+        if walk.bound is not None:
+            if faults is not None and faults.tenant_crash(
+                req.tenant, request_id, "bound", clock.now
+            ):
+                raise InjectedFault(
+                    f"injected tenant crash (bound) tenant={req.tenant} rid={request_id}"
+                )
+            execution = await execute(
+                port, self.platform, req.dag, walk.spec, walk.bound,
+                deadline_at=deadline_at,
             )
-        await self._call("finish", req.tenant, request_id, tuple(held))
-
-        outcome = SelectionOutcome(
-            fulfilled=not aborted,
-            backend=used_backend,
-            spec_index=used_index,
-            final_spec=used_spec,
-            hosts=tuple(int(h) for h in bound),
-            attempts=tuple(attempts),
-            refusals=counts["refusals"],
-            respecifications=counts["respecifications"],
-            backend_fallbacks=counts["backend_fallbacks"],
-            rebinds=counts["rebinds"],
-            segments=segments,
-            tasks_rescheduled=rescheduled,
-            turnaround_s=None if aborted else clock.now - req.arrival_s,
+            if execution.abort_reason is None:
+                baseline = self._baseline(req.dag, req.spec)
+        outcome = walk.outcome(
+            execution,
+            turnaround_s=clock.now - req.arrival_s,
             baseline_turnaround_s=baseline,
-            respecs_pruned=counts["respecs_pruned"],
-            abort_reason=exec_abort,
         )
+        if outcome.abort_reason == "deadline_exceeded":
+            observe.inc("service.deadline_aborts")
+        elif outcome.abort_reason == "host_exhaustion":
+            observe.inc("service.execution_aborts")
+        held = () if execution is None else tuple(execution.hosts)
+        await self._call("finish", req.tenant, request_id, held)
         return TenantOutcome(
             tenant=req.tenant,
             request_id=request_id,
@@ -1383,70 +1268,6 @@ class SelectionService:
             completion_s=clock.now,
             priority=req.priority,
         )
-
-    async def _run_dag(
-        self,
-        req: TenantRequest,
-        request_id: int,
-        spec: ResourceSpecification,
-        bound: np.ndarray,
-        counts: dict,
-        deadline_at: float = math.inf,
-    ) -> tuple[list[int], int, int, str | None]:
-        """Async mirror of ``SelectionPipeline._execute``.
-
-        Returns ``(held hosts, segments, tasks_rescheduled, abort
-        reason)`` — reason ``None`` on success, ``host_exhaustion`` when
-        every host failed with no free replacement, ``deadline_exceeded``
-        when a segment cannot finish inside the request's budget.
-        Unlike the pipeline — whose single tenant crashing is fine to
-        surface as an exception — both aborts are reported as outcomes
-        so the service keeps serving the other tenants.
-        """
-        clock = self._clock
-        churn = self._churn
-        hosts = [int(h) for h in bound]
-        sub = req.dag
-        orig_ids = np.arange(req.dag.n)
-        segments = 0
-        rescheduled = 0
-
-        while True:
-            segments += 1
-            rc = self.platform.rc_from_hosts(np.asarray(sorted(hosts), dtype=np.int64))
-            schedule = schedule_dag(spec.heuristic, sub, rc)
-            t0 = clock.now
-            end = t0 + schedule.makespan
-            if end > deadline_at:
-                # The segment cannot finish inside the budget: abort now
-                # rather than burn shared capacity past the deadline.
-                observe.inc("service.deadline_aborts")
-                return hosts, segments, rescheduled, "deadline_exceeded"
-            fail = churn.next_failure(set(hosts), until=end)
-            if fail is None:
-                await clock.sleep_until(end)
-                return hosts, segments, rescheduled, None
-
-            elapsed = fail.time - t0
-            unfinished = np.flatnonzero(schedule.finish > elapsed)
-            await clock.sleep_until(fail.time)  # applies the failure
-            lost_now = [h for h in hosts if h in churn.dead]
-            hosts = [h for h in hosts if h not in churn.dead]
-
-            need = max(1, len(lost_now))
-            replacements = await self._call("rebind", req.tenant, request_id, need)
-            if replacements:
-                hosts.extend(replacements)
-                counts["rebinds"] += 1
-                observe.inc("pipeline.rebinds")
-            if not hosts:
-                return hosts, segments, rescheduled, "host_exhaustion"
-            if unfinished.size == 0:
-                # The failure hit after the last task finished on our hosts.
-                return hosts, segments, rescheduled, None
-            rescheduled += int(unfinished.size)
-            observe.inc("pipeline.tasks_rescheduled", int(unfinished.size))
-            sub, orig_ids = _induced_subdag(sub, orig_ids, unfinished)
 
     # ------------------------------------------------------------------
     def _finalize_fairness(self) -> dict[str, float]:

@@ -20,10 +20,12 @@ import numpy as np
 import pytest
 
 import repro.observe as observe
+from repro.analysis.passes import subsumes
+from repro.dag.montage import montage_dag, montage_level_counts
 from repro.observe import MetricsRegistry
 from repro.resources.binding import Binder
-from repro.resources.churn import ChurnConfig
-from repro.selection.pipeline import PipelineConfig
+from repro.resources.churn import ChurnConfig, ResourceChurn
+from repro.selection.pipeline import PipelineConfig, select_once
 from repro.service import (
     SelectionService,
     ServiceConfig,
@@ -310,14 +312,93 @@ def test_heavy_churn_degrades_but_never_crashes(small_platform):
 # Amortization counters move under a shared workload
 # ----------------------------------------------------------------------
 def test_shared_caches_amortize_repeat_work(small_platform):
-    requests = synthesize_requests(small_platform, 8, seed=3)
-    _, counters = _serve(small_platform, requests)
-    # All eight tenants share one DAG: the ladder/preflight/baseline work
-    # is done once and then served from the shared caches.
+    # Four tenants 2 s apart each ask for 55 hosts at exactly 3.2 GHz, a
+    # band of 53 hosts, so every one is refused at rung 0 and climbs.  The
+    # ladder/preflight/baseline work is done once, by the first climber,
+    # and then served from the shared caches.
+    dag = montage_dag(montage_level_counts(3), ccr=0.01)
+    spec = make_spec(dag, 55, clock_ghz=3.2, heterogeneity_tolerance=0.0)
+    requests = [
+        TenantRequest(tenant=t, dag=dag, spec=spec, arrival_s=2.0 * t)
+        for t in range(4)
+    ]
+    report, counters = _serve(small_platform, requests)
+    assert [o.outcome.spec_index for o in report.outcomes] == [1, 1, 1, 1]
     assert counters.get("service.ladder_shared_hits", 0) > 0
+    assert counters.get("service.preflight_hits", 0) > 0
     assert counters.get("service.baseline_shared_hits", 0) > 0
     assert counters["service.batches"] >= 1
     assert counters["service.batched_ops"] >= counters["service.batches"]
+
+
+# ----------------------------------------------------------------------
+# The shared ladder: laziness, pruning, and the short-circuit's latency
+# ----------------------------------------------------------------------
+def test_rung_zero_binds_never_price_alternatives(small_platform):
+    # Every tenant here binds at rung 0, so no ladder ever climbs and the
+    # Fig. VII-6 sweep behind respecification must never run.
+    requests = synthesize_requests(small_platform, 8, seed=3)
+    registry = MetricsRegistry()
+    with observe.use_registry(registry):
+        report = SelectionService(small_platform, CHURNY, ServiceConfig()).run(requests)
+    assert all(o.outcome.fulfilled and o.outcome.spec_index == 0 for o in report.outcomes)
+    spans = registry.snapshot()["spans"]
+    assert not [path for path in spans if path.split("/")[-1] == "pipeline.respecify"]
+
+
+def test_service_subsumption_pruning_skips_dominated_rung(small_platform, monkeypatch):
+    # 55 hosts at exactly 3.2 GHz is refused at rung 0 under CHURNY (the
+    # band holds 53, some busy).  The first alternative asks for more of
+    # the same band, so the original dominates it and it is skipped
+    # without a selection; the second fulfills at its burnt-index position.
+    dag = montage_dag(montage_level_counts(3), ccr=0.01)
+    spec = make_spec(dag, 55, clock_ghz=3.2, heterogeneity_tolerance=0.0)
+    dominated = make_spec(dag, 56, clock_ghz=3.2, heterogeneity_tolerance=0.0)
+    smaller = make_spec(dag, 24, clock_ghz=3.0, heterogeneity_tolerance=0.3)
+    assert subsumes(spec, dominated) and not subsumes(spec, smaller)
+    monkeypatch.setattr(
+        SelectionService, "_alternatives", lambda self, dag, spec: [dominated, smaller]
+    )
+    report, counters = _serve(
+        small_platform,
+        [TenantRequest(tenant=0, dag=dag, spec=spec)],
+        pipeline=PipelineConfig(max_retries=0),
+    )
+    outcome = report.outcomes[0].outcome
+    assert outcome.fulfilled
+    assert outcome.spec_index == 2 and outcome.final_spec == smaller
+    assert [a.spec_index for a in outcome.attempts] == [0, 2]
+    assert outcome.respecs_pruned == 1
+    assert counters["pipeline.respecs_pruned"] == 1
+
+
+@pytest.mark.parametrize("backend", ["vges", "classad", "sword"])
+def test_index_shortcircuit_charges_select_once_latency(small_platform, backend):
+    # min_size 54 at >= 3.2 GHz, a band of 53 hosts: the index refuses the
+    # selection without building an engine, and must charge exactly the
+    # latency select_once charges for the same miss.  The small ad cap
+    # makes ClassAd stride its advertised hosts (and keeps the spec larger
+    # than the ad set, so select_once never gangmatches).
+    dag = montage_dag(montage_level_counts(3), ccr=0.01)
+    spec = make_spec(dag, 60, clock_ghz=3.2, heterogeneity_tolerance=0.0)
+    churn = ChurnConfig(utilization=0.3, seed=11)
+    config = PipelineConfig(
+        backends=(backend,), max_retries=0, max_respecs=0, max_classad_machines=40
+    )
+    report, counters = _serve(
+        small_platform, [TenantRequest(tenant=0, dag=dag, spec=spec)],
+        churn=churn, pipeline=config,
+    )
+    assert counters["service.index_shortcircuits"] == 1
+    (attempt,) = report.outcomes[0].outcome.attempts
+    assert attempt.result == "insufficient" and attempt.n_hosts == 0
+    at_arrival = ResourceChurn.from_config(small_platform, churn)
+    at_arrival.advance(0.0)
+    expected = select_once(
+        small_platform, backend, spec, at_arrival.unavailable(), max_classad_machines=40
+    )
+    # Arrival is t = 0, so the refusal lands after exactly the latency.
+    assert (None, attempt.time_s) == expected
 
 
 @pytest.mark.slow

@@ -266,6 +266,28 @@ def test_deadline_aborts_are_structured_and_counted(small_platform):
     assert report.n_refused == 0  # admission is not the deadline's job
 
 
+def test_ladder_deadline_abort_counts_under_both_names(small_platform):
+    # The band cannot hold the request, so rung 0 is refused at once and
+    # the first backoff (at least 2.5 s) outlives the 1 s budget: the
+    # ladder itself runs out of time, before any execution.
+    dag = montage_dag(montage_level_counts(3), ccr=0.01)
+    spec = make_spec(dag, 60, clock_ghz=3.2, heterogeneity_tolerance=0.0)
+    report, counters, _ = _serve(
+        small_platform,
+        [TenantRequest(tenant=0, dag=dag, spec=spec)],
+        churn=QUIET,
+        deadline_s=1.0,
+        pipeline=PipelineConfig(max_retries=2, max_respecs=0),
+    )
+    outcome = report.outcomes[0].outcome
+    assert outcome.abort_reason == "deadline_exceeded"
+    assert [a.result for a in outcome.attempts] == ["insufficient", "deadline_exceeded"]
+    # Ladder aborts carry the pipeline's name; the service's counter is
+    # its total over ladder and execution aborts.
+    assert counters["pipeline.deadline_aborts"] == 1
+    assert counters["service.deadline_aborts"] == 1
+
+
 def test_per_request_deadline_overrides_service_default(small_platform):
     dag = montage_dag(montage_level_counts(3), ccr=0.01)
     spec = make_spec(dag, 6, ccr=0.01)

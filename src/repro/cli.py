@@ -227,10 +227,14 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
         dag = _load_model(load_dag, args.dag, "DAG")
     else:
-        from repro.dag.montage import montage_dag
+        from repro.dag.montage import montage_dag, montage_level_counts
 
-        scale = get_scale(args.scale)
-        levels = args.montage_levels or scale.montage_levels
+        if args.montage_levels is None:
+            levels = get_scale(args.scale).montage_levels
+        elif args.montage_levels < 1:
+            raise CliError("--montage-levels must be >= 1")
+        else:
+            levels = montage_level_counts(args.montage_levels)
         dag = montage_dag(levels, ccr=0.01)
 
     if args.spec:

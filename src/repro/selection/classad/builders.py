@@ -15,6 +15,10 @@ from repro.selection.classad.parser import ClassAd, Literal, parse_expression
 
 __all__ = ["machine_ad", "machine_ads", "job_request_ad"]
 
+#: Dedicated access (§III.2.3): the host accepts any job.  Parsed once and
+#: shared by every ad, since expression nodes are immutable.
+_DEDICATED = parse_expression("LoadAvg <= 0.5")
+
 
 def machine_ad(platform: Platform, host_id: int) -> ClassAd:
     """Workstation advertisement (Fig. II-3) for one platform host."""
@@ -36,8 +40,7 @@ def machine_ad(platform: Platform, host_id: int) -> ClassAd:
             "KeyboardIdle": 3600,
         }
     )
-    # Dedicated access (§III.2.3): the host accepts any job.
-    ad["Requirements"] = parse_expression("LoadAvg <= 0.5")
+    ad["Requirements"] = _DEDICATED
     ad["Rank"] = Literal(0)
     return ad
 

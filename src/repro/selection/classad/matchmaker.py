@@ -7,7 +7,38 @@
   carries a ``Ports`` list (Fig. II-2); ports are bound left to right, each
   to the highest-ranked candidate satisfying the port's ``Constraint``
   (with all earlier bindings visible through their labels) and the
-  candidate's own ``Requirements``; a machine can serve at most one port.
+  candidate's own ``Requirements``; a machine can serve at most one port,
+  and when a later port cannot be bound, earlier ports fall back to their
+  next-ranked candidates.
+
+Gangmatch search
+----------------
+A port with ``Count = k`` (the Chapter VII generator's extension) expands
+into a *replica group* of k ports labelled ``cpu``, ``cpu2``, ... ``cpuk``,
+each with its own scoped references renamed to its label.  Labels are
+made unique case-insensitively, because scope lookup is.
+
+A request is *independent* when every scoped reference in it, and in every
+non-literal expression of the advertised machine ads, names ``MY``,
+``SELF`` or ``TARGET``; a port's own ``Constraint``/``Requirements``/
+``Rank`` may also name that port's label.  Then a port's candidates and
+ranks do not depend on other ports' bindings, and every replica of a group
+has the same ones.  So the search plans and scans each group once, into
+one list sorted by ``(-rank, row)``; the group's replicas take strictly
+increasing positions in that list, and the group stops as soon as fewer
+unused candidates remain at or after the current position than it has
+replicas left to bind.  Both rules are exact:
+
+* the full search tries assignments in lexicographic order of list
+  positions; were two replicas of a group out of order in its first
+  success, swapping their machines would give an earlier success;
+* the stop only cuts subtrees that hold no success.
+
+So bindings and ranks are those of the full search, but the generator's
+one-port request costs one scan, then either its top ``Count`` candidates
+or an immediate ``None`` — not a walk through every ordering of the
+candidates when fewer than ``Count`` match.  Requests that are not
+independent rescan each port at every node of the search.
 """
 
 from __future__ import annotations
@@ -29,6 +60,7 @@ from repro.selection.classad.parser import (
     Expr,
     FuncCall,
     ListExpr,
+    Literal,
     RecordExpr,
     Ternary,
     UnaryOp,
@@ -97,6 +129,48 @@ def _rank_value(rank_expr: Expr | None, ctx: EvalContext) -> float:
     if isinstance(v, (int, float)):
         return float(v)
     return 0.0  # UNDEFINED / ERROR / non-numeric rank counts as 0
+
+
+#: A port's own label may appear as a scope only in these attributes.
+_PORT_EXPRS = ("constraint", "requirements", "rank")
+_PLAIN_SCOPES = frozenset({"my", "self", "target"})
+
+#: One expanded port: its unique label, its ad, and its replica group (the
+#: position of the group's first port).
+_Port = tuple[str, ClassAd, int]
+
+
+def _independent(request: ClassAd, ports: list[_Port], machines: list[ClassAd]) -> bool:
+    """True when no port's candidates or ranks can depend on another
+    port's binding (the module docstring's rule).
+
+    Only the scopes of attribute references are read; nothing is
+    evaluated.  The rule relies on :meth:`Matchmaker._ports` having made
+    the labels distinct case-insensitively.
+    """
+    # Imported here: repro.analysis imports the selection front ends.
+    from repro.analysis.expr import attr_refs
+
+    def within(expr: Expr, scopes: frozenset[str]) -> bool:
+        return all(r.scope is None or r.scope.lower() in scopes for r in attr_refs(expr))
+
+    for label, port_ad, _ in ports:
+        own = _PLAIN_SCOPES | {label.lower()}
+        for name, expr in port_ad.items():
+            if not within(expr, own if name.lower() in _PORT_EXPRS else _PLAIN_SCOPES):
+                return False
+    if not all(within(e, _PLAIN_SCOPES) for n, e in request.items() if n.lower() != "ports"):
+        return False
+    # Machine ads usually share one Requirements expression
+    # (builders.machine_ad), so skip the expression just checked.
+    checked = None
+    for ad in machines:
+        for _, e in ad.items():
+            if e is not checked and not isinstance(e, Literal):
+                if not within(e, _PLAIN_SCOPES):
+                    return False
+                checked = e
+    return True
 
 
 @dataclass
@@ -187,31 +261,45 @@ class Matchmaker:
 
         Ports are satisfied greedily in order with backtracking: if a later
         port cannot be bound, earlier ports fall back to their next-ranked
-        candidates.
+        candidates.  For an independent request (module docstring) each
+        replica group is planned and scanned once, its replicas bind at
+        increasing positions of the group's ranked list, and the group
+        gives up as soon as too few unused candidates remain; the result
+        is the first success of the full search, which otherwise rescans
+        each port at every node.
         """
         ports = self._ports(request)
         if not ports:
             raise MatchError("gangmatch request carries no Ports attribute")
+        independent = _independent(request, ports, self.machines)
+        # Groups are contiguous: ``ends[g] - i`` replicas of group ``g``
+        # remain to bind from port ``i`` on.
+        ends = {group: i + 1 for i, (_, _, group) in enumerate(ports)}
         used: set[int] = set()
         bindings: dict[str, ClassAd] = {}
         ranks: dict[str, float] = {}
+        ranked_groups: dict[int, list[tuple[float, int]]] = {}
 
-        # One plan per port: the port's own label names the machine being
-        # tried (``cpu.Clock`` while binding port cpu), so it is a machine
-        # scope alongside TARGET; earlier/later port labels stay residual.
-        plans: list[IndexPlan | None] = []
-        for label, port_ad in ports:
+        # One plan per scanned port: the port's own label names the machine
+        # being tried (``cpu.Clock`` while binding port cpu), so it is a
+        # machine scope alongside TARGET; other port labels stay residual.
+        plans: dict[int, IndexPlan | None] = {}
+        for i in list(ends) if independent else range(len(ports)):
+            label, port_ad, _ = ports[i]
             if self.indexing == "off":
-                plans.append(None)
+                plans[i] = None
                 continue
             plan = plan_constraint(
                 _requirements(port_ad),
                 request=request,
                 machine_scopes=("target", label),
             )
-            plans.append(plan if self._engaged(plan) else None)
+            plans[i] = plan if self._engaged(plan) else None
 
-        def port_candidates(i: int, label: str, port_ad: ClassAd) -> list[tuple[float, int]]:
+        def scan(i: int, bound: dict[str, ClassAd], skip: set[int]) -> list[tuple[float, int]]:
+            """Port ``i``'s candidates outside ``skip`` as ``(rank, row)``,
+            best first, with ``bound`` visible through their labels."""
+            label, port_ad, _ = ports[i]
             plan = plans[i]
             constraint = _requirements(port_ad)
             if plan is not None:
@@ -223,10 +311,10 @@ class Matchmaker:
                 full_set = None
             candidates: list[tuple[float, int]] = []
             for idx in pool:
-                if idx in used:
+                if idx in skip:
                     continue
                 machine = self.machines[idx]
-                trial = dict(bindings)
+                trial = dict(bound)
                 trial[label] = machine
                 ctx = EvalContext(my=request, target=machine, bindings=trial)
                 if full_set is None or idx in full_set:
@@ -242,37 +330,56 @@ class Matchmaker:
                         continue
                 rank = _rank_value(port_ad.get("Rank"), ctx)
                 candidates.append((rank, idx))
+            candidates.sort(key=lambda t: (-t[0], t[1]))
             return candidates
 
-        def bind(i: int) -> bool:
+        def bind(i: int, start: int) -> bool:
             if i == len(ports):
                 return True
-            label, port_ad = ports[i]
-            candidates = port_candidates(i, label, port_ad)
-            candidates.sort(key=lambda t: (-t[0], t[1]))
-            for rank, idx in candidates:
+            label, _, group = ports[i]
+            if independent:
+                # Scanned without ``used`` so the list stays valid when an
+                # earlier group backtracks; used rows are skipped below.
+                if group not in ranked_groups:
+                    ranked_groups[group] = scan(group, {}, set())
+                ranked, need = ranked_groups[group], ends[group] - i
+            else:
+                ranked, start, need = scan(i, bindings, used), 0, 1
+            free = [p for p in range(start, len(ranked)) if ranked[p][1] not in used]
+            for t, p in enumerate(free):
+                if len(free) - t < need:
+                    break
+                rank, idx = ranked[p]
                 used.add(idx)
                 bindings[label] = self.machines[idx]
                 ranks[label] = rank
-                if bind(i + 1):
+                if bind(i + 1, p + 1 if ends[group] > i + 1 else 0):
                     return True
                 used.discard(idx)
-                bindings.pop(label, None)
-                ranks.pop(label, None)
+                del bindings[label]
+                del ranks[label]
             return False
 
-        if bind(0):
+        if bind(0, 0):
             return GangMatch(bindings=bindings, ranks=ranks)
         return None
 
     @staticmethod
-    def _ports(request: ClassAd) -> list[tuple[str, ClassAd]]:
+    def _ports(request: ClassAd) -> list[_Port]:
+        """Expand the request's ``Ports`` into ports with unique labels.
+
+        A port with ``Count = k`` becomes a replica group of k ports.  A
+        label already taken, compared case-insensitively as scope lookup
+        does, gets a numeric suffix; each port whose label changed has its
+        own scoped references renamed, so it constrains its own binding.
+        """
         ports_expr = request.get("Ports")
         if ports_expr is None:
             return []
         if not isinstance(ports_expr, ListExpr):
             raise MatchError("Ports must be a list of port records")
-        out: list[tuple[str, ClassAd]] = []
+        out: list[_Port] = []
+        taken: set[str] = set()
         for k, item in enumerate(ports_expr.items):
             if not isinstance(item, RecordExpr):
                 raise MatchError("each port must be a record")
@@ -297,27 +404,20 @@ class Matchmaker:
                     count = v
                 else:
                     raise MatchError("port Count must be a positive integer")
-            out.append((label, item.ad))
-            for i in range(2, count + 1):
-                # Replicas get fresh labels; scoped references to the
-                # original label inside the replica's own constraint/rank
-                # are renamed so each replica constrains its own binding.
-                new_label = f"{label}{i}"
-                replica = ClassAd()
-                for name, e in item.ad.items():
-                    if name.lower() in ("constraint", "requirements", "rank"):
-                        replica[name] = _rename_scope(e, label, new_label)
-                    else:
-                        replica[name] = e
-                out.append((new_label, replica))
-        # Duplicate labels would make bindings ambiguous; disambiguate.
-        seen: dict[str, int] = {}
-        deduped: list[tuple[str, ClassAd]] = []
-        for label, ad in out:
-            if label in seen:
-                seen[label] += 1
-                label = f"{label}{seen[label]}"
-            else:
-                seen[label] = 0
-            deduped.append((label, ad))
-        return deduped
+            group = len(out)
+            for i in range(1, count + 1):
+                new_label = want = label if i == 1 else f"{label}{i}"
+                n = 0
+                while new_label.lower() in taken:
+                    n += 1
+                    new_label = f"{want}{n}"
+                taken.add(new_label.lower())
+                port_ad = item.ad
+                if new_label != label:
+                    port_ad = ClassAd()
+                    for name, e in item.ad.items():
+                        if name.lower() in _PORT_EXPRS:
+                            e = _rename_scope(e, label, new_label)
+                        port_ad[name] = e
+                out.append((new_label, port_ad, group))
+        return out

@@ -1,7 +1,12 @@
 """Tests for Matchmaking and Gangmatching."""
 
-import pytest
+import sys
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+import repro.selection.classad.matchmaker as matchmaker
 from repro.selection.classad import (
     EvalContext,
     Matchmaker,
@@ -10,6 +15,7 @@ from repro.selection.classad import (
     machine_ad,
     machine_ads,
     parse_classad,
+    parse_expression,
 )
 from repro.selection.classad.matchmaker import MatchError
 
@@ -149,6 +155,160 @@ def test_gangmatch_count_insufficient_machines():
         '[ Ports = { [ Label = cpu; Count = 3; Constraint = cpu.Type == "Machine" ] } ]'
     )
     assert mm.gangmatch(req) is None
+
+
+def _host_ids(gang):
+    return {label: evaluate(ad["HostId"], EvalContext(ad)) for label, ad in gang.bindings.items()}
+
+
+@pytest.mark.parametrize(
+    "ports, expected",
+    [
+        (
+            '[ Label = cpu; Constraint = cpu.Arch == "XEON" ], '
+            '[ Label = cpu; Constraint = cpu.Arch == "OPTERON" ]',
+            {"cpu": 0, "cpu1": 1},
+        ),
+        (
+            '[ Label = cpu; Constraint = cpu.Arch == "XEON" ], '
+            '[ Label = CPU; Constraint = CPU.Arch == "OPTERON" ]',
+            {"cpu": 0, "CPU1": 1},
+        ),
+        (
+            '[ Label = cpu; Constraint = cpu.Type == "Machine" ], '
+            '[ Label = cpu; Constraint = cpu.Type == "Machine" ], '
+            '[ Label = cpu1; Constraint = cpu1.Type == "Machine" ]',
+            {"cpu": 0, "cpu1": 1, "cpu11": 2},
+        ),
+    ],
+    ids=["repeated", "case-only", "suffix-taken"],
+)
+def test_gangmatch_duplicate_labels_bind_their_own_machines(ports, expected):
+    # Scope lookup is case-insensitive, so a repeated label is renamed with
+    # its own scoped references, and every port keeps a binding of its own.
+    mm = Matchmaker(
+        [_machine(Arch=a, HostId=h) for h, a in enumerate(("XEON", "OPTERON", "OPTERON"))]
+    )
+    gang = mm.gangmatch(parse_classad("[ Ports = { " + ports + " } ]"))
+    assert gang is not None
+    assert _host_ids(gang) == expected
+
+
+@pytest.mark.parametrize("indexing", ["off", "auto"])
+def test_gangmatch_count_groups_bind_or_fail_fast(monkeypatch, indexing):
+    # 12 of 16 ads match.  Each Count group is scanned once (at most 4
+    # evaluator calls per ad) and its replicas bind at increasing positions
+    # of that scan.  The full search rescans per replica and, when fewer
+    # ads match than Count, tries every ordering of those that do.
+    ads = [_machine(HostId=h, Clock=1000 if h % 4 == 0 else 2000 + 10 * h) for h in range(16)]
+    for ad in ads:
+        ad["Requirements"] = parse_expression("LoadAvg <= 0.5")
+    calls = budget = 0
+    real_evaluate = matchmaker.evaluate
+
+    def counted(expr, ctx, *args):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise AssertionError(f"gangmatch exceeded {budget} evaluate calls")
+        return real_evaluate(expr, ctx, *args)
+
+    monkeypatch.setattr(matchmaker, "evaluate", counted)
+    mm = Matchmaker(ads, indexing=indexing)
+
+    def gangmatch(*groups):
+        """Gangmatch one port per ``(label, count)``; return the result and
+        the number of search nodes (calls of the recursive ``bind``)."""
+        nonlocal calls, budget
+        calls, budget = 0, 4 * len(ads) * len(groups)
+        ports = ", ".join(
+            f"[ Label = {label}; Count = {count}; Rank = {label}.Clock;"
+            f" Constraint = {label}.Clock >= 2000 ]"
+            for label, count in groups
+        )
+        request = parse_classad("[ Ports = { " + ports + " } ]")
+        nodes = 0
+
+        def profile(frame, event, arg):
+            nonlocal nodes
+            code = frame.f_code
+            if event == "call" and code.co_name == "bind" and code.co_filename == matchmaker.__file__:
+                nodes += 1
+
+        sys.setprofile(profile)
+        try:
+            gang = mm.gangmatch(request)
+        finally:
+            sys.setprofile(None)
+        return gang, nodes
+
+    gang, nodes = gangmatch(("cpu", 12))
+    assert list(_host_ids(gang).values()) == sorted((h for h in range(16) if h % 4), reverse=True)
+    assert nodes == 13  # one per replica, plus the success
+    assert gangmatch(("cpu", 13)) == (None, 1)
+    # 13 of 12: group a tries each 4-subset once, never all 11,880 orderings.
+    gang, nodes = gangmatch(("a", 4), ("b", 9))
+    assert gang is None and nodes < 1000
+
+
+_LABELS = ("a", "A", "b", "cpu")
+_CONSTRAINTS = (
+    "{l}.Clock >= 2000",
+    '{l}.Arch == "XEON"',
+    '{l}.Clock >= 2000 && {l}.Arch != "XEON"',
+    "TARGET.Memory >= 0",
+    "Clock >= 2000",
+    "true",
+)
+_RANKS = ("{l}.Clock", "-{l}.Clock", "{l}.Memory", "-{l}.Memory", "0")
+
+
+@st.composite
+def _gang_instances(draw):
+    """Machines with tied clocks and negative memories, and an independent
+    request of 1-3 ports with Count 1-6 (labels may collide in case)."""
+    machines = []
+    for h in range(draw(st.integers(0, 9))):
+        ad = _machine(
+            HostId=h,
+            Arch=draw(st.sampled_from(("XEON", "OPTERON"))),
+            Clock=draw(st.sampled_from((1000, 2000, 3000))),
+            Memory=draw(st.integers(-2, 2)),
+            LoadAvg=draw(st.sampled_from((0.0, 0.9))),
+        )
+        if draw(st.booleans()):
+            ad["Requirements"] = parse_expression('LoadAvg <= 0.5 && TARGET.Type == "Job"')
+        machines.append(ad)
+    ports = []
+    for _ in range(draw(st.integers(1, 3))):
+        label = draw(st.sampled_from(_LABELS))
+        constraint = draw(st.sampled_from(_CONSTRAINTS)).format(l=label)
+        rank = draw(st.sampled_from(_RANKS)).format(l=label)
+        count = draw(st.integers(1, 6))
+        ports.append(
+            f"[ Label = {label}; Count = {count}; Constraint = {constraint}; Rank = {rank} ]"
+        )
+    return machines, '[ Type = "Job"; Ports = { ' + ", ".join(ports) + " } ]"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gang_instances(), st.sampled_from(["off", "auto"]))
+def test_gangmatch_replica_groups_equal_full_search(instance, indexing):
+    machines, text = instance
+    request = parse_classad(text)
+    # An attribute naming a port label makes the request dependent, so it
+    # takes the full search that rescans each port at every node.
+    coupled = parse_classad(text)
+    coupled["Coupled"] = parse_expression("a.Clock")
+    ports = Matchmaker._ports(request)
+    assert matchmaker._independent(request, ports, machines)
+    assert not matchmaker._independent(coupled, ports, machines)
+    mm = Matchmaker(machines, indexing=indexing)
+    fast, full = mm.gangmatch(request), mm.gangmatch(coupled)
+    assert (fast is None) == (full is None)
+    if fast is not None:
+        assert _host_ids(fast) == _host_ids(full)
+        assert fast.ranks == full.ranks
 
 
 def test_gangmatch_invalid_count():

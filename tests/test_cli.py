@@ -312,6 +312,15 @@ def test_select_user_spec_runs(model_path, spec_files, capsys):
     assert "respecs_pruned=" in out
 
 
+def test_select_montage_levels(spec_files, capsys):
+    # --montage-levels N builds the N-image mosaic, as the benchmark does.
+    base = ["select", "--scale", "smoke", "--seed", "1", "--spec", spec_files["spec.json"]]
+    assert main(base + ["--montage-levels", "3"]) == 0
+    assert "fulfilled via" in capsys.readouterr().out
+    assert main(base + ["--montage-levels", "0"]) == 2
+    assert "--montage-levels must be >= 1" in capsys.readouterr().err
+
+
 def test_select_unsatisfiable_spec_exits_2(model_path, spec_files, capsys):
     rc = main([
         "select", "--scale", "smoke", "--seed", "1",

@@ -4,18 +4,19 @@ The subsystem is a staged compiler pipeline:
 
 * :mod:`repro.analysis.diagnostics` — the shared :class:`Diagnostic`
   record (stable ``SPEC###`` codes, severity, message, source span);
-* :mod:`repro.analysis.expr` — the shared expression utilities: interval
-  arithmetic, type inference, constant folding and the clause fact
-  extractors over the ClassAd expression AST;
-* :mod:`repro.analysis.ir` — the typed constraint IR plus the
-  per-language frontends (ClassAds, vgDL, SWORD XML, JSON specification
-  documents) that lower every language into it with spans preserved;
+* :mod:`repro.analysis.ir` — the typed constraint IR, the expression
+  utilities it is built from (interval arithmetic, type inference,
+  constant folding and the clause fact extractors over the ClassAd
+  expression AST), and the per-language frontends (ClassAds, vgDL, SWORD
+  XML, JSON specification documents) that lower every language into it
+  with spans preserved;
 * :mod:`repro.analysis.passes` — every semantic analysis, written once
   over the IR: SPEC101–SPEC133, the SPEC140 cross-language render
   equivalence check and the SPEC141 ladder subsumption pass;
-* thin per-language compatibility shims (:mod:`~repro.analysis.classad`,
-  :mod:`~repro.analysis.vgdl`, :mod:`~repro.analysis.sword`) plus the
-  language-detecting front door :func:`lint_text`;
+* :mod:`repro.analysis.spec` — the language-detecting front door
+  :func:`lint_text` (the linter's only text entry point: it lowers a
+  document of any language and runs the passes) and the generator's self-check
+  :func:`analyze_specification`;
 * :mod:`repro.analysis.preflight` — platform-aware satisfiability over
   lowered documents: which clause eliminates the last host, without
   binding anything.
@@ -24,7 +25,6 @@ Everything is deterministic and side-effect free, so the selection
 pipeline can consult it without perturbing seeded replay.
 """
 
-from repro.analysis.classad import analyze_classad_request, analyze_classad_text
 from repro.analysis.diagnostics import (
     DIAGNOSTIC_CODES,
     SEVERITIES,
@@ -33,18 +33,15 @@ from repro.analysis.diagnostics import (
     Span,
     render_code_table,
 )
-from repro.analysis.expr import (
+from repro.analysis.ir import (
     DEFAULT_VOCABULARY,
     NONNEGATIVE_ATTRIBUTES,
-    Interval,
-    analyze_constraint,
-    infer_type,
-)
-from repro.analysis.ir import (
     Clause,
     Constraint,
     Document,
+    Interval,
     Scope,
+    infer_type,
     lower_classad,
     lower_classad_text,
     lower_document,
@@ -79,8 +76,6 @@ from repro.analysis.spec import (
     detect_language,
     lint_text,
 )
-from repro.analysis.sword import analyze_sword_query, analyze_sword_text
-from repro.analysis.vgdl import analyze_vgdl_spec, analyze_vgdl_text
 
 __all__ = [
     "DIAGNOSTIC_CODES",
@@ -92,7 +87,6 @@ __all__ = [
     "Interval",
     "DEFAULT_VOCABULARY",
     "NONNEGATIVE_ATTRIBUTES",
-    "analyze_constraint",
     "infer_type",
     "Clause",
     "Constraint",
@@ -115,12 +109,6 @@ __all__ = [
     "check_render_equivalence",
     "subsumes",
     "check_subsumption",
-    "analyze_classad_text",
-    "analyze_classad_request",
-    "analyze_vgdl_text",
-    "analyze_vgdl_spec",
-    "analyze_sword_text",
-    "analyze_sword_query",
     "LANGUAGES",
     "SpecificationLintError",
     "detect_language",

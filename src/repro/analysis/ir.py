@@ -26,35 +26,34 @@ Lowering invariants:
   sub-AST it came from (``Clause.expr``), so diagnostic messages can
   ``unparse()`` it and the preflight/evaluator can execute it.
 * **Conjunct order is the ``&&`` chain's left-to-right leaf order** —
-  the same order :func:`repro.analysis.expr.iter_conjuncts` yields, so
-  pass output order is reproducible and matches the historic analyzers.
+  the same order :func:`iter_conjuncts` yields, so pass output order is
+  reproducible and matches the historic analyzers.
 * ``deep=False`` lowering (the planner's hot path) skips the
   analysis-only facts (types, references, branches, spans) and extracts
   only the clause-classification facts the planner consumes.
+
+The expression helpers the facts are built from live here too: the
+attribute vocabulary, :class:`Interval` arithmetic (whose boundary case
+``Clock >= 2.0 && Clock <= 2.0`` is the non-empty point ``[2.0, 2.0]``,
+as in :mod:`repro.selection.classad.evaluator`), constant folding, type
+inference and the clause fact extractors the index planner
+(:mod:`repro.selection.index`) shares.
 """
 
 from __future__ import annotations
 
 import json as _json
+import math
+import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro.analysis.diagnostics import DiagnosticReport, Span
-from repro.analysis.expr import (
-    DEFAULT_VOCABULARY,
-    NONNEGATIVE_ATTRIBUTES,
-    _IDENT_RE,
-    Interval,
-    _attr_display,
-    _attr_key,
-    attr_refs,
-    fold_constant,
-    infer_type,
-    iter_conjuncts,
-    iter_disjuncts,
-    numeric_bound,
-    string_equality,
-    _walk,
+from repro.selection.classad.evaluator import (
+    ErrorValue,
+    EvalContext,
+    Undefined,
+    evaluate,
 )
 from repro.selection.classad.lexer import ClassAdParseError
 from repro.selection.classad.parser import (
@@ -62,9 +61,12 @@ from repro.selection.classad.parser import (
     BinaryOp,
     ClassAd,
     Expr,
+    FuncCall,
     ListExpr,
     Literal,
     RecordExpr,
+    Ternary,
+    UnaryOp,
     parse_classad,
 )
 from repro.selection.sword import SwordError, SwordQuery, parse_sword_query
@@ -74,6 +76,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.generator import ResourceSpecification
 
 __all__ = [
+    "DEFAULT_VOCABULARY",
+    "NONNEGATIVE_ATTRIBUTES",
+    "Interval",
+    "iter_conjuncts",
+    "iter_disjuncts",
+    "attr_refs",
+    "fold_constant",
+    "infer_type",
+    "numeric_bound",
+    "string_equality",
     "TypeFact",
     "RefFact",
     "NumericBoundFact",
@@ -105,6 +117,316 @@ _COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 #: The concrete static types a comparison can mismatch between.
 _CONCRETE_TYPES = frozenset({"number", "string", "bool"})
+
+
+# ----------------------------------------------------------------------
+# Vocabulary, intervals and expression helpers
+# ----------------------------------------------------------------------
+#: Attribute → type vocabulary, assembled from every attribute any backend
+#: in this repo advertises: :func:`repro.selection.classad.builders.machine_ad`,
+#: :meth:`repro.resources.platform.Platform.host_attributes`, the vgDL
+#: evaluator's cluster ads, and the job-request side.  Keys are lowercase.
+DEFAULT_VOCABULARY: dict[str, str] = {
+    # numeric
+    "clock": "number",
+    "clockghz": "number",
+    "memory": "number",
+    "freemem": "number",
+    "freedisk": "number",
+    "disk": "number",
+    "kflops": "number",
+    "nodes": "number",
+    "loadavg": "number",
+    "cpuload": "number",
+    "keyboardidle": "number",
+    "clusterid": "number",
+    "hostid": "number",
+    "imagesize": "number",
+    "count": "number",
+    "mips": "number",
+    # string
+    "arch": "string",
+    "opsys": "string",
+    "os": "string",
+    "region": "string",
+    "name": "string",
+    "machine": "string",
+    "type": "string",
+    "cluster": "string",
+    "processor": "string",
+    "owner": "string",
+    "cmd": "string",
+    # expression-valued (type depends on the ad)
+    "requirements": "bool",
+    "rank": "number",
+}
+
+#: Attributes whose physical domain is ``[0, +inf)`` — a clause like
+#: ``Clock >= 0`` is therefore dead (SPEC102) rather than informative.
+NONNEGATIVE_ATTRIBUTES: frozenset[str] = frozenset(
+    {
+        "clock",
+        "clockghz",
+        "memory",
+        "freemem",
+        "freedisk",
+        "disk",
+        "kflops",
+        "nodes",
+        "loadavg",
+        "cpuload",
+        "keyboardidle",
+        "imagesize",
+        "count",
+        "mips",
+    }
+)
+
+_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+_FLIPPED_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
+
+@dataclass(frozen=True)
+class Interval:
+    """A numeric interval with independently open/closed endpoints.
+
+    ``lo``/``hi`` may be ``-inf``/``+inf``; ``lo_open``/``hi_open`` record
+    strictness, so ``Clock > 2000`` is ``(2000, +inf)`` while
+    ``Clock >= 2000`` is ``[2000, +inf)``.
+    """
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = False
+
+    @classmethod
+    def from_comparison(cls, op: str, value: float) -> "Interval | None":
+        """Interval implied by ``attr OP value``; ``None`` when the operator
+        constrains nothing representable (``!=``)."""
+        if op == ">=":
+            return cls(lo=value)
+        if op == ">":
+            return cls(lo=value, lo_open=True)
+        if op == "<=":
+            return cls(hi=value)
+        if op == "<":
+            return cls(hi=value, hi_open=True)
+        if op == "==":
+            return cls(lo=value, hi=value)
+        return None
+
+    @property
+    def is_empty(self) -> bool:
+        """True when no number lies in the interval (boundary equality
+        ``[c, c]`` is non-empty)."""
+        if self.lo > self.hi:
+            return True
+        if self.lo == self.hi:
+            return self.lo_open or self.hi_open
+        return False
+
+    def intersect(self, other: "Interval") -> "Interval":
+        """The intersection of two intervals (possibly empty)."""
+        if other.lo > self.lo:
+            lo, lo_open = other.lo, other.lo_open
+        elif other.lo < self.lo:
+            lo, lo_open = self.lo, self.lo_open
+        else:
+            lo, lo_open = self.lo, self.lo_open or other.lo_open
+        if other.hi < self.hi:
+            hi, hi_open = other.hi, other.hi_open
+        elif other.hi > self.hi:
+            hi, hi_open = self.hi, self.hi_open
+        else:
+            hi, hi_open = self.hi, self.hi_open or other.hi_open
+        return Interval(lo, hi, lo_open, hi_open)
+
+    def describe(self, name: str = "x") -> str:
+        """Human-readable constraint, e.g. ``2000 <= Clock < 4000``."""
+        parts = []
+        if self.lo != -math.inf:
+            parts.append(f"{_fmt_num(self.lo)} {'<' if self.lo_open else '<='} ")
+        parts.append(name)
+        if self.hi != math.inf:
+            parts.append(f" {'<' if self.hi_open else '<='} {_fmt_num(self.hi)}")
+        if len(parts) == 1:
+            return f"{name} unconstrained"
+        return "".join(parts)
+
+
+def _fmt_num(v: float) -> str:
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return repr(v)
+
+
+# ----------------------------------------------------------------------
+# AST helpers
+# ----------------------------------------------------------------------
+def iter_conjuncts(expr: Expr) -> Iterator[Expr]:
+    """Yield the leaves of a ``&&`` chain (the expression itself when it is
+    not a conjunction)."""
+    if isinstance(expr, BinaryOp) and expr.op == "&&":
+        yield from iter_conjuncts(expr.left)
+        yield from iter_conjuncts(expr.right)
+    else:
+        yield expr
+
+
+def iter_disjuncts(expr: Expr) -> Iterator[Expr]:
+    """Yield the leaves of a ``||`` chain."""
+    if isinstance(expr, BinaryOp) and expr.op == "||":
+        yield from iter_disjuncts(expr.left)
+        yield from iter_disjuncts(expr.right)
+    else:
+        yield expr
+
+
+def _walk(expr: Expr) -> Iterator[Expr]:
+    """Pre-order walk over every node of the expression tree."""
+    yield expr
+    if isinstance(expr, UnaryOp):
+        yield from _walk(expr.operand)
+    elif isinstance(expr, BinaryOp):
+        yield from _walk(expr.left)
+        yield from _walk(expr.right)
+    elif isinstance(expr, Ternary):
+        yield from _walk(expr.cond)
+        yield from _walk(expr.then)
+        yield from _walk(expr.other)
+    elif isinstance(expr, (ListExpr,)):
+        for item in expr.items:
+            yield from _walk(item)
+    elif isinstance(expr, FuncCall):
+        for arg in expr.args:
+            yield from _walk(arg)
+    elif isinstance(expr, RecordExpr):
+        for _, sub in expr.ad.items():
+            yield from _walk(sub)
+
+
+def attr_refs(expr: Expr) -> list[AttrRef]:
+    """All attribute references anywhere in the expression tree."""
+    return [node for node in _walk(expr) if isinstance(node, AttrRef)]
+
+
+def fold_constant(expr: Expr) -> object | None:
+    """Evaluate ``expr`` when it contains no attribute references.
+
+    Returns the evaluated value (which may be the UNDEFINED or ERROR
+    sentinel), or ``None`` when the expression depends on attributes and
+    cannot be folded.
+    """
+    if attr_refs(expr):
+        return None
+    return evaluate(expr, EvalContext(my=ClassAd()))
+
+
+def infer_type(expr: Expr, vocab: Mapping[str, str] | None = None) -> str:
+    """Best-effort static type: ``number``/``string``/``bool``/``undefined``
+    /``error``/``list``/``record``/``unknown``."""
+    vocab = DEFAULT_VOCABULARY if vocab is None else vocab
+    if isinstance(expr, Literal):
+        v = expr.value
+        if isinstance(v, bool):
+            return "bool"
+        if isinstance(v, (int, float)):
+            return "number"
+        if isinstance(v, str):
+            return "string"
+        if isinstance(v, Undefined):
+            return "undefined"
+        if isinstance(v, ErrorValue):
+            return "error"
+        return "unknown"
+    if isinstance(expr, AttrRef):
+        return vocab.get(expr.name.lower(), "unknown")
+    if isinstance(expr, UnaryOp):
+        return "bool" if expr.op == "!" else "number"
+    if isinstance(expr, BinaryOp):
+        if expr.op in ("&&", "||", "=?=", "=!=") or expr.op in _COMPARISON_OPS:
+            return "bool"
+        if expr.op == "+":
+            lt = infer_type(expr.left, vocab)
+            rt = infer_type(expr.right, vocab)
+            if lt == "string" and rt == "string":
+                return "string"
+            return "number"
+        return "number"
+    if isinstance(expr, Ternary):
+        then_t = infer_type(expr.then, vocab)
+        other_t = infer_type(expr.other, vocab)
+        return then_t if then_t == other_t else "unknown"
+    if isinstance(expr, ListExpr):
+        return "list"
+    if isinstance(expr, RecordExpr):
+        return "record"
+    if isinstance(expr, FuncCall):
+        name = expr.name.lower()
+        if name in ("isundefined", "iserror"):
+            return "bool"
+        if name == "strcat":
+            return "string"
+        if name in ("floor", "ceiling", "round", "min", "max", "size"):
+            return "number"
+        return "unknown"
+    return "unknown"
+
+
+# ----------------------------------------------------------------------
+# Clause fact extractors
+# ----------------------------------------------------------------------
+def numeric_bound(conj: Expr) -> tuple[AttrRef, str, float] | None:
+    """Decompose ``attr OP number`` / ``number OP attr`` conjuncts.
+
+    Returns ``(ref, op, value)`` with ``op`` normalised so the attribute
+    sits on the left (``3 < Clock`` becomes ``Clock > 3``), or ``None``
+    when the conjunct is not a numeric bound.  This is the typed clause
+    fact the interval analysis *and* the index planner
+    (:mod:`repro.selection.index`) both consume.
+    """
+    if not (isinstance(conj, BinaryOp) and conj.op in ("<", "<=", ">", ">=", "==")):
+        return None
+    left, right = conj.left, conj.right
+    if isinstance(left, AttrRef) and _is_number_literal(right):
+        return left, conj.op, float(right.value)  # type: ignore[union-attr, arg-type]
+    if isinstance(right, AttrRef) and _is_number_literal(left):
+        return right, _FLIPPED_OP[conj.op], float(left.value)  # type: ignore[union-attr, arg-type]
+    return None
+
+
+def string_equality(conj: Expr) -> tuple[AttrRef, str] | None:
+    """Decompose ``attr == "value"`` / ``"value" == attr`` conjuncts.
+
+    The second clause-fact extractor shared by the static analyzer and
+    the index planner; the returned value is *not* lowercased (the ClassAd
+    evaluator compares strings case-insensitively, so consumers decide).
+    """
+    if not (isinstance(conj, BinaryOp) and conj.op == "=="):
+        return None
+    left, right = conj.left, conj.right
+    if isinstance(left, AttrRef) and isinstance(right, Literal) and isinstance(right.value, str):
+        return left, right.value
+    if isinstance(right, AttrRef) and isinstance(left, Literal) and isinstance(left.value, str):
+        return right, left.value
+    return None
+
+
+def _is_number_literal(expr: Expr) -> bool:
+    return (
+        isinstance(expr, Literal)
+        and isinstance(expr.value, (int, float))
+        and not isinstance(expr.value, bool)
+    )
+
+
+def _attr_key(ref: AttrRef) -> tuple[str, str]:
+    return ((ref.scope or "").lower(), ref.name.lower())
+
+
+def _attr_display(ref: AttrRef) -> str:
+    return f"{ref.scope}.{ref.name}" if ref.scope else ref.name
 
 
 # ----------------------------------------------------------------------
@@ -356,8 +678,8 @@ def _type_facts(
     for node in _walk(conj):
         if not (isinstance(node, BinaryOp) and node.op in _COMPARISON_OPS):
             continue
-        lt = infer_type(node.left, dict(vocab) if not isinstance(vocab, dict) else vocab)
-        rt = infer_type(node.right, dict(vocab) if not isinstance(vocab, dict) else vocab)
+        lt = infer_type(node.left, vocab)
+        rt = infer_type(node.right, vocab)
         if vgdl_bare_strings and _bare_string_fact(facts, node, lt, rt, text):
             continue
         if lt in _CONCRETE_TYPES and rt in _CONCRETE_TYPES and lt != rt:

@@ -34,6 +34,7 @@ from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis import ir
 from repro.selection.classad.evaluator import EvalContext, evaluate
 from repro.selection.classad.parser import ClassAd, Expr, parse_expression
+from repro.selection.sword import cluster_attributes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.generator import ResourceSpecification
@@ -362,15 +363,7 @@ def _preflight_sword_doc(
         for fact in scope.ranges:
             survivors = []
             for cid in alive:
-                spec = platform.clusters[cid]
-                values = {
-                    "cpu_load": 0.0,
-                    "free_mem": float(spec.memory_mb),
-                    "free_disk": 20.0 * spec.memory_mb,
-                    "clock": spec.clock_ghz * 1000.0,
-                    "num_cpus": 1.0,
-                }
-                v = values.get(fact.attr)
+                v = cluster_attributes(platform, cid)[0].get(fact.attr)
                 if v is None or (fact.required_lo <= v <= fact.required_hi):
                     survivors.append(cid)
             hosts = sum(platform.clusters[c].n_hosts for c in survivors)
@@ -396,13 +389,7 @@ def _preflight_sword_doc(
                 continue
             survivors = []
             for cid in alive:
-                spec = platform.clusters[cid]
-                cats = {
-                    "os": spec.os,
-                    "arch": spec.arch,
-                    "network_coordinate_center": platform.region_of_cluster(cid),
-                }
-                actual = cats.get(cat.attr)
+                actual = cluster_attributes(platform, cid)[1].get(cat.attr)
                 if actual is None or actual.lower() == cat.value.lower():
                     survivors.append(cid)
             hosts = sum(platform.clusters[c].n_hosts for c in survivors)

@@ -49,6 +49,8 @@ import os
 from dataclasses import dataclass, field
 from typing import IO, Any
 
+from repro import durability
+
 __all__ = ["Journal", "JournalError", "JOURNAL_VERSION"]
 
 JOURNAL_VERSION = 2
@@ -69,9 +71,10 @@ def _dumps(record: dict[str, Any]) -> str:
 
 
 def _crc(record: dict[str, Any]) -> str:
-    # 16 hex chars of sha256 over the canonical record (sans crc field):
-    # plenty to catch disk corruption, short enough to keep lines lean.
-    return hashlib.sha256(_dumps(record).encode("utf-8")).hexdigest()[:16]
+    # 16 hex chars of the durability layer's canonical-encoding sha256
+    # (over the record sans crc field): plenty to catch disk corruption,
+    # short enough to keep lines lean.
+    return durability.payload_digest(record)[:16]
 
 
 def _frame(record: dict[str, Any]) -> str:
@@ -240,8 +243,6 @@ class Journal:
         self._write(record)
 
     def _write(self, record: dict[str, Any]) -> None:
-        from repro import durability
-
         assert self._fh is not None
         data = _frame(record).encode("utf-8") + b"\n"
         inj = durability.active_injector()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["Token", "ClassAdParseError", "LexError", "tokenize", "source_location"]
@@ -138,17 +139,31 @@ def _tokenize(text: str) -> list[Token]:
                     break
             raw = text[i:j]
             value: object
-            if seen_dot or seen_exp:
-                value = float(raw)
-            else:
-                value = int(raw)
-            # Optional unit suffix (100M etc.) — only when not followed by
-            # more identifier characters.
-            if j < n and text[j].lower() in _UNIT_SUFFIXES:
-                after = text[j + 1] if j + 1 < n else ""
-                if not (after.isalnum() or after == "_"):
-                    value = float(value) * _UNIT_SUFFIXES[text[j].lower()]
-                    j += 1
+            try:
+                if seen_dot or seen_exp:
+                    value = float(raw)
+                else:
+                    value = int(raw)
+                # Optional unit suffix (100M etc.) — only when not followed
+                # by more identifier characters.
+                if j < n and text[j].lower() in _UNIT_SUFFIXES:
+                    after = text[j + 1] if j + 1 < n else ""
+                    if not (after.isalnum() or after == "_"):
+                        value = float(value) * _UNIT_SUFFIXES[text[j].lower()]
+                        j += 1
+                in_range = math.isfinite(value)
+            except (OverflowError, ValueError):
+                # An int beyond float range, or digits int() rejects.
+                in_range = False
+            if not in_range:
+                # Every consumer treats numbers as floats, so 1e309 (inf)
+                # or a 400-digit integer is a lexical error, not a value.
+                shown = text[i:j] if j - i <= 20 else text[i : i + 17] + "..."
+                raise LexError(
+                    f"numeric literal {shown!r} is not a finite number "
+                    "in float range",
+                    pos=i,
+                )
             tokens.append(Token("NUMBER", value, i))
             i = j
             continue

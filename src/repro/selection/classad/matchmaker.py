@@ -149,7 +149,7 @@ def _independent(request: ClassAd, ports: list[_Port], machines: list[ClassAd]) 
     the labels distinct case-insensitively.
     """
     # Imported here: repro.analysis imports the selection front ends.
-    from repro.analysis.expr import attr_refs
+    from repro.analysis.ir import attr_refs
 
     def within(expr: Expr, scopes: frozenset[str]) -> bool:
         return all(r.scope is None or r.scope.lower() in scopes for r in attr_refs(expr))

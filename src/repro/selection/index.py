@@ -56,7 +56,7 @@ from repro.selection.classad.evaluator import EvalContext, as_logical, evaluate
 from repro.selection.classad.parser import AttrRef, BinaryOp, ClassAd, Expr, Literal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.analysis.expr import Interval
+    from repro.analysis.ir import Interval
     from repro.resources.platform import Platform
 
 __all__ = [
@@ -83,8 +83,7 @@ def _clause_facts():
     module — a top-level import here would close that cycle during package
     initialisation.  By first call everything is initialised.
     """
-    from repro.analysis.expr import Interval
-    from repro.analysis.ir import lower_expression
+    from repro.analysis.ir import Interval, lower_expression
 
     return Interval, lower_expression
 
@@ -161,7 +160,7 @@ class IndexPlan:
     """What the planner extracted from one boolean constraint.
 
     ``intervals`` and ``equalities`` are the indexable fragment (lowercase
-    attribute → merged :class:`~repro.analysis.expr.Interval` / lowercased
+    attribute → merged :class:`~repro.analysis.ir.Interval` / lowercased
     string value); ``residual`` holds the conjuncts only the evaluator can
     answer.  ``contradiction`` means the constraint can match nothing —
     statically-false clause, empty merged interval, or two different

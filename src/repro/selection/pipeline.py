@@ -296,7 +296,6 @@ def select_once(
     *,
     indexing: str = "auto",
     max_classad_machines: int = 400,
-    engine_cache: dict | None = None,
     deadline_remaining_s: float | None = None,
 ) -> tuple[np.ndarray | None, float]:
     """Run one selection backend; returns ``(host ids | None, latency)``.
@@ -304,12 +303,6 @@ def select_once(
     The single-request core shared by :class:`SelectionPipeline` and the
     multi-tenant service (:mod:`repro.service`).  ``unavailable`` is the
     full banned set — dead, busy *and* bound hosts.
-
-    ``engine_cache`` (any mutable mapping) lets a caller reuse constructed
-    engines across calls **as long as ``unavailable`` is unchanged** — the
-    caller owns invalidation (the service keys its cache on a platform
-    state epoch).  The engines keep no per-query state, so cached and
-    fresh runs return bit-identical hosts and latencies.
 
     ``deadline_remaining_s`` is the caller's remaining virtual-time
     budget: when it is exhausted (``<= 0``) the backend is not consulted
@@ -319,24 +312,14 @@ def select_once(
     if deadline_remaining_s is not None and deadline_remaining_s <= 0:
         return None, 0.0
     if backend == "vges":
-        engine = None if engine_cache is None else engine_cache.get("vges")
-        if engine is None:
-            engine = VgES(platform, unavailable=set(unavailable), indexing=indexing)
-            if engine_cache is not None:
-                engine_cache["vges"] = engine
+        engine = VgES(platform, unavailable=set(unavailable), indexing=indexing)
         with observe.span("pipeline.select.vges"):
             vg = engine.find_and_bind(spec.to_vgdl())
         if vg is None:
             return None, miss_latency(platform, backend, 0)
         return vg.all_hosts(), vg.selection_time
     if backend == "sword":
-        engine = None if engine_cache is None else engine_cache.get("sword")
-        if engine is None:
-            engine = SwordEngine(
-                platform, unavailable=set(unavailable), indexing=indexing
-            )
-            if engine_cache is not None:
-                engine_cache["sword"] = engine
+        engine = SwordEngine(platform, unavailable=set(unavailable), indexing=indexing)
         with observe.span("pipeline.select.sword"):
             result = engine.query(spec.to_sword_xml())
         latency = miss_latency(platform, backend, 0)
@@ -344,16 +327,11 @@ def select_once(
             return None, latency
         return result.all_hosts(), latency
     # classad: advertise the free hosts and gangmatch the request.
-    cached = None if engine_cache is None else engine_cache.get("classad")
-    if cached is None:
-        free = sorted(h for h in range(platform.n_hosts) if h not in unavailable)
-        ads = machine_ads(platform, _advertised(free, max_classad_machines))
-        latency = miss_latency(platform, backend, len(free), max_classad_machines)
-        cached = (Matchmaker(ads, indexing=indexing), len(ads), latency)
-        if engine_cache is not None:
-            engine_cache["classad"] = cached
-    mm, n_ads, latency = cached
-    if spec.size > n_ads:
+    free = sorted(h for h in range(platform.n_hosts) if h not in unavailable)
+    ads = machine_ads(platform, _advertised(free, max_classad_machines))
+    latency = miss_latency(platform, backend, len(free), max_classad_machines)
+    mm = Matchmaker(ads, indexing=indexing)
+    if spec.size > len(ads):
         return None, latency
     with observe.span("pipeline.select.classad"):
         gang = mm.gangmatch(parse_classad(spec.to_classad()))

@@ -52,6 +52,7 @@ __all__ = [
     "SwordEngine",
     "parse_sword_query",
     "SwordError",
+    "cluster_attributes",
 ]
 
 
@@ -59,9 +60,37 @@ class SwordError(ValueError):
     """Raised on malformed SWORD queries."""
 
 
-#: XML attribute tag → (platform attribute extractor description).
+#: The XML attribute tags a group may constrain (see :func:`cluster_attributes`).
 NUMERIC_ATTRS = ("cpu_load", "free_mem", "free_disk", "clock", "num_cpus")
 CATEGORICAL_ATTRS = ("os", "network_coordinate_center", "arch")
+
+
+def cluster_attributes(
+    platform: Platform, cid: int
+) -> tuple[dict[str, float], dict[str, str]]:
+    """The numeric and categorical values every host of cluster ``cid``
+    advertises to SWORD, keyed by :data:`NUMERIC_ATTRS` and
+    :data:`CATEGORICAL_ATTRS`.
+
+    The one definition of SWORD's attribute model: the engine's
+    per-cluster and columnar paths and the platform preflight
+    (:mod:`repro.analysis.preflight`) all read it.  Hosts are idle
+    single-CPU machines, so ``cpu_load`` and ``num_cpus`` are constant.
+    """
+    spec = platform.clusters[cid]
+    numeric = {
+        "cpu_load": 0.0,
+        "free_mem": float(spec.memory_mb),
+        "free_disk": 20.0 * spec.memory_mb,
+        "clock": spec.clock_ghz * 1000.0,
+        "num_cpus": 1.0,
+    }
+    categorical = {
+        "os": spec.os,
+        "arch": spec.arch,
+        "network_coordinate_center": platform.region_of_cluster(cid),
+    }
+    return numeric, categorical
 
 
 @dataclass(frozen=True)
@@ -76,8 +105,13 @@ class NumericRequirement:
     rate: float
 
     @classmethod
-    def from_text(cls, attr: str, text: str) -> "NumericRequirement":
-        vals = [_parse_bound(tok) for tok in text.split(",")]
+    def from_text(cls, attr: str, text: str | None) -> "NumericRequirement":
+        try:
+            vals = [_parse_bound(tok) for tok in (text or "").split(",")]
+        except ValueError:
+            raise SwordError(
+                f"{attr}: bounds must be numbers, MIN or MAX, got {text!r}"
+            ) from None
         if len(vals) != 5:
             raise SwordError(f"{attr}: expected 5 comma-separated values, got {text!r}")
         a, b, c, d, rate = vals
@@ -109,13 +143,35 @@ class CategoricalRequirement:
     penalty_rate: float
 
     @classmethod
-    def from_text(cls, attr: str, text: str) -> "CategoricalRequirement":
-        parts = [t.strip() for t in text.split(",")]
+    def from_text(cls, attr: str, text: str | None) -> "CategoricalRequirement":
+        parts = [t.strip() for t in (text or "").split(",")]
+        if len(parts) > 2 or not parts[0]:
+            raise SwordError(f"{attr}: expected 'value, penalty', got {text!r}")
         if len(parts) == 1:
             return cls(attr, parts[0], 0.0)
-        if len(parts) != 2:
-            raise SwordError(f"{attr}: expected 'value, penalty', got {text!r}")
-        return cls(attr, parts[0], float(parts[1]))
+        try:
+            return cls(attr, parts[0], float(parts[1]))
+        except ValueError:
+            raise SwordError(
+                f"{attr}: penalty must be a number, got {parts[1]!r}"
+            ) from None
+
+
+def _element_text(el: ET.Element) -> str:
+    """The stripped text of ``el``; :class:`SwordError` when it is empty."""
+    text = (el.text or "").strip()
+    if not text:
+        raise SwordError(f"<{el.tag}> is empty")
+    return text
+
+
+def _element_int(el: ET.Element) -> int:
+    """The integer text of ``el``; :class:`SwordError` otherwise."""
+    text = _element_text(el)
+    try:
+        return int(text)
+    except ValueError:
+        raise SwordError(f"<{el.tag}> must be an integer, got {text!r}") from None
 
 
 def _parse_bound(tok: str) -> float:
@@ -177,9 +233,9 @@ def parse_sword_query(xml_text: str) -> SwordQuery:
     query = SwordQuery(groups=[])
     for child in root:
         if child.tag == "dist_query_budget":
-            query.dist_query_budget = int(child.text.strip())
+            query.dist_query_budget = _element_int(child)
         elif child.tag == "optimizer_budget":
-            query.optimizer_budget = int(child.text.strip())
+            query.optimizer_budget = _element_int(child)
         elif child.tag == "group":
             query.groups.append(_parse_group(child))
         elif child.tag == "constraint":
@@ -207,9 +263,9 @@ def _parse_group(el: ET.Element) -> SwordGroup:
     for child in el:
         tag = child.tag
         if tag == "name":
-            name = child.text.strip()
+            name = _element_text(child)
         elif tag == "num_machines":
-            num = int(child.text.strip())
+            num = _element_int(child)
         elif tag == "latency":
             latency = NumericRequirement.from_text("latency", child.text)
         elif tag in NUMERIC_ATTRS:
@@ -232,7 +288,7 @@ def _parse_constraint(el: ET.Element) -> InterGroupConstraint:
     lat_el = el.find("latency")
     if names_el is None or lat_el is None:
         raise SwordError("<constraint> needs <group_names> and <latency>")
-    names = tuple(names_el.text.split())
+    names = tuple((names_el.text or "").split())
     if len(names) != 2:
         raise SwordError("inter-group constraints are pairwise")
     return InterGroupConstraint(names, NumericRequirement.from_text("latency", lat_el.text))
@@ -342,25 +398,13 @@ class SwordEngine:
 
     def _cluster_penalty(self, group: SwordGroup, cid: int) -> float | None:
         """Per-host penalty for hosts of cluster ``cid``; None = infeasible."""
-        spec = self.platform.clusters[cid]
-        values = {
-            "cpu_load": 0.0,
-            "free_mem": float(spec.memory_mb),
-            "free_disk": 20.0 * spec.memory_mb,
-            "clock": spec.clock_ghz * 1000.0,
-            "num_cpus": 1.0,
-        }
+        values, cats = cluster_attributes(self.platform, cid)
         penalty = 0.0
         for req in group.numeric:
             v = np.array([values[req.attr]])
             if not bool(req.feasible(v)[0]):
                 return None
             penalty += float(req.penalty(v)[0])
-        cats = {
-            "os": spec.os,
-            "arch": spec.arch,
-            "network_coordinate_center": self.platform.region_of_cluster(cid),
-        }
         for req in group.categorical:
             actual = cats[req.attr]
             if actual.lower() != req.value.lower():
@@ -372,27 +416,18 @@ class SwordEngine:
     def _columns(self) -> "dict[str, dict[str, np.ndarray]]":
         """Columnar cluster attribute table (cached; clusters are immutable)."""
         if self._cluster_cols is None:
-            specs = self.platform.clusters
-            n = len(specs)
-            mem = np.array([s.memory_mb for s in specs], dtype=np.float64)
-            ghz = np.array([s.clock_ghz for s in specs], dtype=np.float64)
+            rows = [
+                cluster_attributes(self.platform, c)
+                for c in range(self.platform.n_clusters)
+            ]
             self._cluster_cols = {
                 "values": {
-                    "cpu_load": np.zeros(n, dtype=np.float64),
-                    "free_mem": mem,
-                    "free_disk": 20.0 * mem,
-                    "clock": ghz * 1000.0,
-                    "num_cpus": np.ones(n, dtype=np.float64),
+                    a: np.array([num[a] for num, _ in rows], dtype=np.float64)
+                    for a in NUMERIC_ATTRS
                 },
                 "cats": {
-                    "os": np.array([s.os.lower() for s in specs]),
-                    "arch": np.array([s.arch.lower() for s in specs]),
-                    "network_coordinate_center": np.array(
-                        [
-                            self.platform.region_of_cluster(c).lower()
-                            for c in range(n)
-                        ]
-                    ),
+                    a: np.array([cat[a].lower() for _, cat in rows])
+                    for a in CATEGORICAL_ATTRS
                 },
             }
         return self._cluster_cols

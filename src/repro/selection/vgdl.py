@@ -39,7 +39,7 @@ import numpy as np
 from repro.resources.platform import Platform
 from repro.selection.classad.evaluator import EvalContext, evaluate
 from repro.selection.index import HostIndex, plan_constraint, residual_ok, validate_indexing
-from repro.selection.classad.lexer import tokenize
+from repro.selection.classad.lexer import ClassAdParseError, tokenize
 from repro.selection.classad.parser import (
     AttrRef,
     BinaryOp,
@@ -47,7 +47,6 @@ from repro.selection.classad.parser import (
     Expr,
     FuncCall,
     Literal,
-    ParseError,
     Ternary,
     UnaryOp,
     _Parser,
@@ -278,11 +277,15 @@ class _VgdlParser(_Parser):
 
 
 def parse_vgdl(text: str) -> VgdlSpec:
-    """Parse a vgDL resource-collection specification."""
+    """Parse a vgDL resource-collection specification.
+
+    Lexer and parser errors alike surface as :class:`VgdlError` carrying
+    the defect's position (the message itself stays location-free).
+    """
     try:
         return _VgdlParser(tokenize(text)).spec()
-    except ParseError as exc:
-        raise VgdlError(str(exc), pos=exc.pos) from exc
+    except ClassAdParseError as exc:
+        raise VgdlError(exc.message, pos=exc.pos) from exc
 
 
 # ----------------------------------------------------------------------

@@ -44,15 +44,17 @@ equality across schedules.
 
 Amortization
 ------------
-One warm :class:`~repro.selection.index.HostIndex` snapshot is kept per
-*state epoch* (bumped on churn events and on every bind/release) and
-answers two hot paths: a conservative short-circuit that refuses a
-selection without engine construction when fewer hosts than the spec's
-``min_size`` are available in its clock band, and availability-mask
-maintenance.  Selection engines, respecification ladders, static
-preflights and baseline turnarounds are cached and shared across
-tenants; same-instant operations are dispatched as one batch (one
-engine build serves every compatible queued request).
+One warm :class:`~repro.selection.index.HostIndex` is kept for the whole
+run and updated incrementally: binds and rebinds mask their hosts, and
+releases and churn events re-derive the touched hosts from ground
+truth.  It answers two hot paths: a conservative short-circuit that
+refuses a selection without engine construction when fewer hosts than
+the spec's ``min_size`` are available in its clock band, and the miss
+latency of a refused query.  Respecification ladders, static preflights
+and baseline turnarounds are cached and shared across tenants;
+same-instant operations are dispatched as one batch.  Selection engines
+are not cached: every select builds its engine over the current banned
+set.
 
 Resilience
 ----------
@@ -84,7 +86,7 @@ Accounting
 ----------
 Fairness and starvation are observable through ``service.*`` counters
 (admissions, refusals, bind_conflicts, completions, batches,
-batched_ops, engine_reuses, index_shortcircuits, preflight_hits,
+batched_ops, index_shortcircuits, preflight_hits,
 churn_events, execution_aborts, deadline_aborts — ladder and execution
 aborts together) and gauges (queue-wait p50/p99 per tenant and overall,
 batch size mean/max).  Each per-tenant
@@ -604,8 +606,9 @@ class SelectionService:
 
     ``run(requests)`` replays bit-identically for fixed ``(platform,
     churn_config, config, requests)`` — including across interleave
-    seeds.  Each call builds a fresh ``Binder`` + churn state machine
-    from ``churn_config``, so back-to-back runs are independent.
+    seeds.  Each call builds a fresh ``Binder``, churn state machine
+    (from ``churn_config``) and host index, so back-to-back runs are
+    independent; selection engines are built per select, never cached.
     """
 
     platform: Platform
@@ -667,9 +670,6 @@ class SelectionService:
         # Engines compare ``Clock`` in MHz; keep a dedicated MHz column so
         # the short-circuit band test hits the exact same float boundary.
         self._clock_mhz = self.platform.host_clock * 1000.0
-        self._state_epoch = 0
-        self._engines: dict = {}
-        self._engine_epoch = -1
         self._ladder_cache: dict = {}
         self._preflight_cache: dict = {}
         self._baseline_cache: dict = {}
@@ -700,7 +700,6 @@ class SelectionService:
         # Apply anything pending at t = 0 (busy hosts are pre-masked).
         events = self._churn.advance(0.0)
         if events:
-            self._state_epoch += 1
             self._refresh_mask(h for e in events for h in e.hosts)
 
         self._kernel.spawn(
@@ -799,7 +798,6 @@ class SelectionService:
         """
         events = self._churn.advance(to_time)
         if events:
-            self._state_epoch += 1
             observe.inc("service.churn_events", len(events))
             touched = [int(h) for e in events for h in e.hosts]
             if self._brownout:
@@ -1002,11 +1000,6 @@ class SelectionService:
             observe.inc("service.index_shortcircuits")
             op.future.resolve((None, self._miss_latency(backend), None))
             return
-        if self._engine_epoch != self._state_epoch:
-            self._engines = {}
-            self._engine_epoch = self._state_epoch
-        if backend in self._engines:
-            observe.inc("service.engine_reuses")
         unavailable = self._churn.unavailable() | self._binder.bound_hosts
         cfg = self.config.pipeline
         hosts, latency = select_once(
@@ -1016,7 +1009,6 @@ class SelectionService:
             unavailable,
             indexing=cfg.indexing,
             max_classad_machines=cfg.max_classad_machines,
-            engine_cache=self._engines,
             deadline_remaining_s=remaining,
         )
         self._breaker_success(backend)
@@ -1059,7 +1051,6 @@ class SelectionService:
         if conflicts:
             observe.inc("service.bind_conflicts")
         elif hosts.size:
-            self._state_epoch += 1
             self._index.mark_unavailable(int(h) for h in hosts.ravel())
             # Track what each live request holds so a crashed tenant's
             # supervisor can hand the exact set back to ``finish``.
@@ -1075,7 +1066,6 @@ class SelectionService:
             )
             if conflicts:  # pragma: no cover - free is derived from bound
                 raise ServiceError(f"rebind conflicts on free hosts: {conflicts}")
-            self._state_epoch += 1
             self._index.mark_unavailable(replacements)
             self._held_by.setdefault(op.rid, []).extend(
                 int(h) for h in replacements
@@ -1086,7 +1076,6 @@ class SelectionService:
         held = [int(h) for h in op.payload if self._binder.is_bound(int(h))]
         if held:
             self._binder.release(np.asarray(held, dtype=np.int64))
-            self._state_epoch += 1
             self._refresh_mask(held)
         self._held_by.pop(op.rid, None)
         self._admitted_live.discard(op.rid)

@@ -17,7 +17,7 @@ imported from the live tree — they are the substrate both sides share.
 from __future__ import annotations
 
 from repro.analysis.diagnostics import DiagnosticReport, Span
-from repro.analysis.expr import (
+from repro.analysis.ir import (
     DEFAULT_VOCABULARY,
     NONNEGATIVE_ATTRIBUTES,
     _COMPARISON_OPS,

@@ -11,14 +11,12 @@ from repro.analysis import (
     DiagnosticReport,
     Interval,
     Span,
-    analyze_classad_text,
-    analyze_constraint,
     analyze_specification,
-    analyze_sword_text,
-    analyze_vgdl_text,
+    check_constraint,
     detect_language,
     infer_type,
     lint_text,
+    lower_expression,
 )
 from repro.selection.classad.parser import parse_expression
 
@@ -116,7 +114,7 @@ class TestInterval:
 # ----------------------------------------------------------------------
 def _analyze(src, **kw):
     kw.setdefault("lang", "classad")
-    return analyze_constraint(parse_expression(src), **kw)
+    return check_constraint(lower_expression(parse_expression(src), **kw), DiagnosticReport())
 
 
 class TestConstraintCodes:
@@ -209,20 +207,20 @@ class TestClassadChecker:
 """
 
     def test_contradiction_reported_with_span(self):
-        r = analyze_classad_text(self.BAD_PORT)
+        r = lint_text(self.BAD_PORT, lang="classad")
         errs = r.errors()
         assert [d.code for d in errs] == ["SPEC101"]
         assert errs[0].span is not None and errs[0].span.line == 7
 
     def test_parse_error_is_spec001(self):
-        r = analyze_classad_text("[ Type = ; ]")
+        r = lint_text("[ Type = ; ]", lang="classad")
         assert _errors(r) == ["SPEC001"]
 
     def test_nonpositive_count_is_spec110(self):
         text = self.BAD_PORT.replace("Count = 4", "Count = 0").replace(
             "cpu.Clock >= 3000 && ", ""
         ).replace("cpu.Clock <= 2000", "cpu.Clock >= 2000")
-        r = analyze_classad_text(text)
+        r = lint_text(text, lang="classad")
         assert "SPEC110" in _errors(r)
 
     def test_string_rank_is_spec120(self):
@@ -230,7 +228,7 @@ class TestClassadChecker:
                                      "cpu.Clock >= 2000").replace(
             "Rank = cpu.Clock", 'Rank = "fastest"'
         )
-        r = analyze_classad_text(text)
+        r = lint_text(text, lang="classad")
         assert "SPEC120" in _codes(r)
 
 
@@ -239,14 +237,14 @@ class TestVgdlChecker:
         # vgDL rewrites unknown bare identifiers to string literals, so
         # `Speed >= 3` silently becomes `"Speed" >= 3` — flag it loudly.
         text = "VG =\nLooseBagOf(nodes) [4:8]\n{\n  nodes = [ (Speed >= 3) ]\n}"
-        r = analyze_vgdl_text(text)
+        r = lint_text(text, lang="vgdl")
         assert _errors(r) == ["SPEC104"]
         [d] = [d for d in r if d.code == "SPEC104"]
         assert "string" in d.message.lower()
         assert d.span is not None and d.span.line == 4
 
     def test_parse_error_is_spec001(self):
-        r = analyze_vgdl_text("VG = LooseBagOf(")
+        r = lint_text("VG = LooseBagOf(", lang="vgdl")
         assert _errors(r) == ["SPEC001"]
 
     def test_contradiction_inside_aggregate(self):
@@ -254,13 +252,13 @@ class TestVgdlChecker:
             "VG =\nLooseBagOf(nodes) [4:8]\n"
             "{\n  nodes = [ (Clock >= 3.0) && (Clock <= 2.0) ]\n}"
         )
-        r = analyze_vgdl_text(text)
+        r = lint_text(text, lang="vgdl")
         assert "SPEC101" in _errors(r)
 
 
 class TestSwordChecker:
     def test_parse_error_is_spec001(self):
-        r = analyze_sword_text("<request><unclosed></request")
+        r = lint_text("<request><unclosed></request", lang="sword")
         assert _errors(r) == ["SPEC001"]
 
     def test_contradictory_duplicate_requirements(self):
@@ -272,7 +270,7 @@ class TestSwordChecker:
     <clock>0.0, 0.0, 2000.0, 2000.0, 0.01</clock>
   </group>
 </request>"""
-        r = analyze_sword_text(text)
+        r = lint_text(text, lang="sword")
         assert _errors(r) == ["SPEC131"]
 
     def test_latency_below_physical_floor(self):
@@ -283,7 +281,7 @@ class TestSwordChecker:
     <latency>0.0, 0.0, 0.1, 0.1, 0.1</latency>
   </group>
 </request>"""
-        r = analyze_sword_text(text)
+        r = lint_text(text, lang="sword")
         assert _errors(r) == ["SPEC133"]
 
     def test_nonpositive_budget_is_spec130(self):
@@ -294,8 +292,73 @@ class TestSwordChecker:
     <num_machines>2</num_machines>
   </group>
 </request>"""
-        r = analyze_sword_text(text)
+        r = lint_text(text, lang="sword")
         assert "SPEC130" in _errors(r)
+
+
+# ----------------------------------------------------------------------
+# Malformed input is a SPEC001 finding, never an exception.
+# ----------------------------------------------------------------------
+def _vgdl(constraint):
+    return f"VG =\nLooseBagOf(nodes) [4:8]\n{{\n  nodes = [ {constraint} ]\n}}"
+
+
+def _sword(name="g", num="2", extra="", budget=""):
+    return (
+        f"<request>{budget}<group><name>{name}</name>"
+        f"<num_machines>{num}</num_machines>{extra}</group></request>"
+    )
+
+
+MALFORMED = {
+    "vgdl-unterminated-string": ("vgdl", _vgdl('(Arch == "x86)')),
+    "vgdl-stray-dollar": ("vgdl", _vgdl("(Clock >= $)")),
+    "vgdl-leading-bom": ("vgdl", "\ufeff" + _vgdl("(Clock >= 2000)")),
+    "sword-num-machines-word": ("sword", _sword(num="x")),
+    "sword-num-machines-fraction": ("sword", _sword(num="6.5")),
+    "sword-word-bound": ("sword", _sword(extra="<clock>fast, 0, MAX, MAX, 0.1</clock>")),
+    "sword-word-budget": (
+        "sword",
+        _sword(budget="<dist_query_budget>lots</dist_query_budget>"),
+    ),
+    "sword-word-penalty": ("sword", _sword(extra="<os><value>LINUX, zz</value></os>")),
+    "sword-empty-name": ("sword", _sword(name="")),
+}
+
+
+@pytest.mark.parametrize("lang,text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_document_is_one_spec001(lang, text):
+    r = lint_text(text, lang=lang)
+    assert _codes(r) == ["SPEC001"]
+    if lang == "vgdl":  # the lexer's position survives as the span
+        assert r.diagnostics[0].span is not None
+
+
+OUT_OF_RANGE = {
+    # Before the lexer rejected them, these crashed while the SPEC102 and
+    # SPEC101 messages rendered the bound, and in numeric_bound.
+    "classad-dead-clause": (
+        "classad",
+        "[ Requirements = other.Clock >= 1000 && other.Clock <= 1e309; ]",
+    ),
+    "classad-contradiction": (
+        "classad",
+        "[ Requirements = other.Clock >= 1e309 && other.Clock <= 5; ]",
+    ),
+    "classad-401-digit-int": (
+        "classad",
+        "[ Requirements = other.Clock >= " + "9" * 401 + "; ]",
+    ),
+    "vgdl-constraint": ("vgdl", _vgdl("(Clock >= 1000) && (Clock <= 1e309)")),
+}
+
+
+@pytest.mark.parametrize("lang,text", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_out_of_range_number_is_spec001_at_the_literal(lang, text):
+    r = lint_text(text, lang=lang)
+    [d] = r.diagnostics
+    assert d.code == "SPEC001"
+    assert d.span is not None and text[d.span.pos :].startswith(("1e309", "999"))
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,16 @@ def test_unit_suffixes():
     assert kinds("1G") == [("NUMBER", 2.0**30)]
 
 
+def test_numbers_outside_float_range_rejected():
+    # inf and ints beyond float range would crash every float() consumer.
+    for text in ("1e309", "1e308K", "9" * 401, "9" * 5000):
+        with pytest.raises(LexError, match="float range") as info:
+            tokenize(f"x >= {text}")
+        assert info.value.pos == 5
+    assert kinds("1e308") == [("NUMBER", 1e308)]
+    assert kinds("1e-400") == [("NUMBER", 0.0)]
+
+
 def test_suffix_not_applied_to_identifier():
     # "100Mb" is a number followed by... actually an identifier char after M
     toks = kinds("100Mem")

@@ -5,6 +5,8 @@ diagnostic-code registry: ``docs/diagnostics.md`` is generated from
 ``DIAGNOSTIC_CODES`` (stale pages fail), and the README's hand-written
 code table must name every registered code — including the SPEC140
 renderer-drift and SPEC141 ladder-subsumption checks — and no others.
+It also pins the docs to the code: every dotted ``repro.…`` path the
+prose names in backticks must still import or resolve.
 """
 
 import importlib
@@ -105,3 +107,61 @@ def test_new_generator_guards_are_registered_and_documented():
     page = (REPO / "docs" / "diagnostics.md").read_text()
     for code in ("SPEC140", "SPEC141"):
         assert code in page
+
+
+# ----------------------------------------------------------------------
+# Docs ↔ code: named modules and attributes exist
+# ----------------------------------------------------------------------
+DOC_FILES = [
+    REPO / "README.md",
+    REPO / "DESIGN.md",
+    *sorted((REPO / "docs").glob("*.md")),
+    REPO / "examples" / "specs" / "README.md",
+]
+
+#: A dotted ``repro.`` path inside a backticked span; a ``{a,b}`` group
+#: stands for one path per alternative.
+_DOTTED = re.compile(r"(?<![\w./-])repro(?:\.(?:\w+|\{[\w,]+\}))+")
+
+
+def _expand(path):
+    group = re.search(r"\{([\w,]+)\}", path)
+    if group is None:
+        return [path]
+    head, tail = path[: group.start()], path[group.end() :]
+    return [p for alt in group.group(1).split(",") for p in _expand(head + alt + tail)]
+
+
+def _documented_paths():
+    for doc in DOC_FILES:
+        for span in re.findall(r"`([^`\n]+)`", doc.read_text()):
+            for match in _DOTTED.finditer(span):
+                for path in _expand(match.group(0)):
+                    yield doc.relative_to(REPO), path
+
+
+def _resolves(path):
+    """True when ``path`` is a module, or an attribute chain on one."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        name = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(name)
+        except ModuleNotFoundError as exc:
+            if not f"{name}.".startswith(f"{exc.name}."):
+                raise  # a dependency is missing, not the named module
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_documented_repro_paths_resolve():
+    # A deleted or renamed module that the prose still names fails here.
+    paths = list(_documented_paths())
+    assert len(paths) > 40, "the path scan found suspiciously few names"
+    stale = sorted({f"{doc}: {path}" for doc, path in paths if not _resolves(path)})
+    assert not stale, "docs name modules or attributes that do not exist:\n" + "\n".join(stale)

@@ -24,10 +24,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.classad import analyze_classad_text
-from repro.analysis.expr import analyze_constraint
-from repro.analysis.sword import analyze_sword_text
-from repro.analysis.vgdl import analyze_vgdl_text
+from repro.analysis import (
+    DiagnosticReport,
+    check_constraint,
+    lint_text,
+    lower_expression,
+)
 from repro.core.generator import ResourceSpecification
 from repro.selection.classad.lexer import ClassAdParseError
 from repro.selection.classad.parser import parse_expression
@@ -41,11 +43,6 @@ from tests._legacy_analysis import (
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "specs"
 
-LIVE = {
-    "vgdl": analyze_vgdl_text,
-    "classad": analyze_classad_text,
-    "sword": analyze_sword_text,
-}
 LEGACY = {
     "vgdl": legacy_analyze_vgdl_text,
     "classad": legacy_analyze_classad_text,
@@ -69,7 +66,7 @@ def _sig(report):
 
 
 def _assert_parity(lang: str, text: str) -> None:
-    live = _sig(LIVE[lang](text))
+    live = _sig(lint_text(text, lang=lang))
     legacy = _sig(LEGACY[lang](text))
     assert live == legacy, (
         f"IR path diverges from legacy analyzer on {lang} document:\n"
@@ -262,7 +259,10 @@ def test_fuzzed_constraint_parity(source, lang, bare):
     except ClassAdParseError:
         return  # parity only concerns analyzable expressions
     live = _sig(
-        analyze_constraint(expr, lang=lang, text=source, vgdl_bare_strings=bare)
+        check_constraint(
+            lower_expression(expr, lang=lang, text=source, vgdl_bare_strings=bare),
+            DiagnosticReport(),
+        )
     )
     legacy = _sig(
         legacy_analyze_constraint(expr, lang=lang, text=source, vgdl_bare_strings=bare)

@@ -1,25 +1,25 @@
 #!/usr/bin/env python
-"""Selection hot-path benchmark: indexed vs naive candidate pruning.
+"""Selection hot-path benchmark: the ClassAd index against a full scan.
 
-Times :meth:`repro.selection.classad.Matchmaker.match` and the vgDL
-cluster scan over synthetic platforms of growing host count (1e2–1e5 at
-``--scale full``), with ``indexing="on"`` versus ``indexing="off"``, and
-writes specs/sec plus p50/p99 per-query latency to ``BENCH_select.json``,
-alongside a static-analysis throughput column (specs/sec linted through
-the shared constraint IR, per document language).
-Every timed configuration first asserts that the indexed and naive paths
+Times :meth:`repro.selection.classad.Matchmaker.match` over synthetic
+platforms of growing host count (1e2–1e5 at ``--scale full``), once as
+shipped (the index answers every constraint whose plan prunes) and once
+with the matchmaker's planner patched to an empty
+:class:`~repro.selection.index.IndexPlan`, which prunes nothing and so
+scans every ad.  It writes specs/sec plus p50/p99 per-query latency to
+``BENCH_select.json``, alongside a static-analysis throughput column
+(specs/sec linted through the shared constraint IR, per document
+language).  Every timed configuration first asserts that the two paths
 return **bit-identical ordered match lists** — a divergence aborts the run
-with a non-zero exit code — and the report additionally replays a seeded
-:class:`~repro.selection.pipeline.SelectionPipeline` run under churn with
-indexing on and off, requiring identical ``SelectionOutcome.to_dict()``.
+with a non-zero exit code.
 
 Usage::
 
     PYTHONPATH=src python scripts/bench_select.py [--scale smoke|bench|full]
 
 The matchmaker population is reused across repetitions, so the indexed
-numbers reflect the warm-index steady state of a long-lived service (the
-index build cost is reported separately per host count).
+numbers reflect a warm index (the index build cost is reported separately
+per host count).
 """
 
 from __future__ import annotations
@@ -29,18 +29,17 @@ import json
 import statistics
 import subprocess
 import time
+from unittest.mock import patch
 
 import numpy as np
 
+import repro.selection.classad.matchmaker as matchmaker
 from repro.durability import atomic_write_json
-from repro.resources.binding import Binder
-from repro.resources.churn import ChurnConfig, ResourceChurn
 from repro.resources.generator import ClusterSpec
 from repro.resources.platform import Platform
 from repro.selection.classad import Matchmaker, parse_classad
 from repro.selection.classad.builders import machine_ads
-from repro.selection.pipeline import PipelineConfig, SelectionPipeline
-from repro.selection.vgdl import VgES, parse_vgdl
+from repro.selection.index import IndexPlan
 
 #: Host counts per scale.  ``smoke`` must stay fast enough for the tier-1
 #: smoke test; ``full`` reaches the 1e5 ceiling of the ROADMAP item.
@@ -67,11 +66,6 @@ SPECS = {
         Rank = TARGET.Clock;
     ]""",
 }
-
-VGDL_SPEC = """vg =
-LooseBagOf(nodes) [4:16] [rank = Nodes] {
-  nodes = [ (Clock >= 3000) && (Memory >= 2000) ]
-}"""
 
 
 def make_platform(n_hosts: int, seed: int) -> Platform:
@@ -115,20 +109,26 @@ def _time_queries(fn, reps: int) -> dict[str, float]:
     }
 
 
+def _full_scan():
+    """Patch the matchmaker's planner to an empty plan: it prunes nothing,
+    so every match scans all ads."""
+    return patch.object(matchmaker, "plan_constraint", lambda *args, **kwargs: IndexPlan())
+
+
 def bench_match(platform: Platform, reps: int) -> list[dict]:
-    """Matchmaker.match indexed vs naive over every benchmark spec."""
-    ads = machine_ads(platform, range(platform.n_hosts))
-    mm_on = Matchmaker(list(ads), indexing="on")
-    mm_off = Matchmaker(list(ads), indexing="off")
+    """Matchmaker.match, index against full scan, over every benchmark spec."""
+    mm = Matchmaker(machine_ads(platform, range(platform.n_hosts)))
     t0 = time.perf_counter()
-    mm_on._host_index()
+    mm._host_index()
     build_s = time.perf_counter() - t0
     rows = []
     for name, text in SPECS.items():
         req = parse_classad(text)
-        on = mm_on.match(req)
-        off = mm_off.match(req)
-        if _match_key(on) != _match_key(off):
+        indexed = mm.match(req)
+        with _full_scan():
+            naive = mm.match(req)
+            naive_timing = _time_queries(lambda: mm.match(req), reps)
+        if _match_key(indexed) != _match_key(naive):
             raise SystemExit(
                 f"FATAL: indexed and naive match lists diverge "
                 f"(spec={name}, hosts={platform.n_hosts})"
@@ -138,44 +138,17 @@ def bench_match(platform: Platform, reps: int) -> list[dict]:
                 "workload": "classad_match",
                 "spec": name,
                 "n_hosts": platform.n_hosts,
-                "n_matches": len(on),
+                "n_matches": len(indexed),
                 "index_build_ms": round(build_s * 1e3, 3),
                 "identical_output": True,
-                "naive": _time_queries(lambda: mm_off.match(req), reps),
-                "indexed": _time_queries(lambda: mm_on.match(req), reps),
+                "naive": naive_timing,
+                "indexed": _time_queries(lambda: mm.match(req), reps),
             }
         )
         rows[-1]["speedup"] = round(
             rows[-1]["naive"]["p50_ms"] / max(rows[-1]["indexed"]["p50_ms"], 1e-9), 2
         )
     return rows
-
-
-def bench_vgdl(platform: Platform, reps: int) -> dict:
-    """vgDL cluster scan indexed vs naive."""
-    spec = parse_vgdl(VGDL_SPEC)
-    constraint = spec.aggregates[0].constraint
-    v_on = VgES(platform, indexing="on")
-    v_off = VgES(platform, indexing="off")
-    on = v_on.matching_clusters(constraint)
-    off = v_off.matching_clusters(constraint)
-    if not np.array_equal(on, off):
-        raise SystemExit(
-            f"FATAL: indexed and naive cluster lists diverge (hosts={platform.n_hosts})"
-        )
-    row = {
-        "workload": "vgdl_matching_clusters",
-        "n_hosts": platform.n_hosts,
-        "n_clusters": platform.n_clusters,
-        "n_matches": int(on.size),
-        "identical_output": True,
-        "naive": _time_queries(lambda: v_off.matching_clusters(constraint), reps),
-        "indexed": _time_queries(lambda: v_on.matching_clusters(constraint), reps),
-    }
-    row["speedup"] = round(
-        row["naive"]["p50_ms"] / max(row["indexed"]["p50_ms"], 1e-9), 2
-    )
-    return row
 
 
 def bench_lint(reps: int) -> list[dict]:
@@ -219,34 +192,6 @@ def bench_lint(reps: int) -> list[dict]:
     return rows
 
 
-def pipeline_replay_identical() -> bool:
-    """Seeded SelectionPipeline outcome, indexing on vs off, under churn."""
-    from repro.core.generator import ResourceSpecification
-    from repro.dag import montage_dag, montage_level_counts
-
-    platform = make_platform(1000, seed=3)
-    dag = montage_dag(montage_level_counts(10), ccr=0.01)
-    spec = ResourceSpecification(
-        heuristic="mcp",
-        size=16,
-        min_size=12,
-        clock_min_mhz=2000.0,
-        clock_max_mhz=4000.0,
-        connectivity="loose",
-        threshold=0.001,
-        dag_name="montage",
-    )
-    churn_config = ChurnConfig(fail_rate=0.002, competitor_rate=0.01, seed=9)
-    outcomes = []
-    for mode in ("on", "off"):
-        churn = ResourceChurn.from_config(platform, churn_config, Binder(platform))
-        pipeline = SelectionPipeline(
-            platform, churn, PipelineConfig(indexing=mode)
-        )
-        outcomes.append(pipeline.run(dag, spec).to_dict())
-    return outcomes[0] == outcomes[1]
-
-
 def _git_sha() -> str:
     try:
         return (
@@ -273,25 +218,16 @@ def main() -> int:
     for n_hosts in cfg["sizes"]:
         platform = make_platform(n_hosts, seed=1)
         results.extend(bench_match(platform, cfg["reps"]))
-        results.append(bench_vgdl(platform, cfg["reps"]))
         print(f"... {n_hosts} hosts done", flush=True)
 
     lint_rows = bench_lint(max(cfg["reps"] * 20, 100))
     print("... lint throughput done", flush=True)
-
-    replay_ok = pipeline_replay_identical()
-    if not replay_ok:
-        raise SystemExit(
-            "FATAL: seeded SelectionPipeline outcomes differ between "
-            "indexing=on and indexing=off"
-        )
 
     report = {
         "scale": args.scale,
         "git_sha": _git_sha(),
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "identical_output": True,
-        "pipeline_replay_identical": replay_ok,
         "results": results,
         "lint_throughput": lint_rows,
     }

@@ -254,7 +254,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
             max_retries=args.max_retries,
             backends=tuple(b.strip() for b in args.backends.split(",") if b.strip()),
             seed=args.seed,
-            indexing=args.indexing,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -355,7 +354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_retries=args.max_retries,
             backends=tuple(b.strip() for b in args.backends.split(",") if b.strip()),
             seed=args.seed,
-            indexing=args.indexing,
         )
         service_config = ServiceConfig(
             queue_capacity=args.queue_capacity,
@@ -585,14 +583,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print the spec's static-analysis report before selecting",
     )
-    p_sel.add_argument(
-        "--indexing",
-        default="auto",
-        choices=("on", "off", "auto"),
-        help="candidate pruning in the selection backends; results are "
-        "identical in all modes (auto engages the index only for "
-        "indexable constraints)",
-    )
     p_sel.set_defaults(fn=_cmd_select)
 
     p_srv = sub.add_parser(
@@ -657,10 +647,6 @@ def main(argv: list[str] | None = None) -> int:
         "--backends",
         default="vges,classad,sword",
         help="comma-separated backend ladder (vges, classad, sword)",
-    )
-    p_srv.add_argument(
-        "--indexing", default="auto", choices=("on", "off", "auto"),
-        help="candidate pruning in the selection backends",
     )
     p_srv.add_argument(
         "--deadline",

@@ -31,10 +31,7 @@ from repro.experiments.scales import Scale
 from repro.parallel import map_cells, rng_for_cell
 from repro.resources.churn import ChurnConfig, ResourceChurn
 from repro.resources.collection import REFERENCE_CLOCK_GHZ
-from repro.selection.classad import Matchmaker, machine_ads, parse_classad
-from repro.selection.pipeline import SelectionPipeline
-from repro.selection.sword import SwordEngine
-from repro.selection.vgdl import VgES
+from repro.selection.pipeline import SelectionPipeline, select_once
 
 __all__ = [
     "generate_montage_specs",
@@ -55,32 +52,32 @@ def generate_montage_specs(
     max_classad_machines: int = 400,
 ) -> dict[str, object]:
     """Generate all three specifications for Montage and run each against
-    its engine on the scale's universe (Figs. VII-3/4/5)."""
+    its engine on the scale's idle universe (Figs. VII-3/4/5).
+
+    Each backend runs through :func:`~repro.selection.pipeline.select_once`,
+    so Condor sees the same strided machine subset the pipeline advertises
+    (matchmaking is per-machine; the paper's matchmaker also works
+    incrementally).
+    """
     dag = montage_dag(scale.montage_levels, ccr=ccr)
     generator = ResourceSpecificationGenerator(size_model, heuristic_model)
     spec = generator.generate(dag)
     platform = build_universe(scale, seed)
 
-    vg = VgES(platform).find_and_bind(spec.to_vgdl())
-    sword = SwordEngine(platform).query(spec.to_sword_xml())
-
-    # Condor: advertise a manageable machine subset (matchmaking is
-    # per-machine; the paper's matchmaker also works incrementally).
-    stride = max(1, platform.n_hosts // max_classad_machines)
-    mm = Matchmaker(machine_ads(platform, range(0, platform.n_hosts, stride)))
-    request = parse_classad(spec.to_classad())
-    gang = None
-    if spec.size <= len(mm.machines):
-        gang = mm.gangmatch(request)
+    def n_selected(backend: str) -> int:
+        hosts, _ = select_once(
+            platform, backend, spec, set(), max_classad_machines=max_classad_machines
+        )
+        return 0 if hosts is None else int(hosts.size)
 
     return {
         "spec": spec,
         "vgdl_text": spec.to_vgdl(),
         "classad_text": spec.to_classad(),
         "sword_text": spec.to_sword_xml(),
-        "vg_hosts": 0 if vg is None else int(vg.size),
-        "sword_hosts": 0 if sword is None else int(sword.all_hosts().size),
-        "gang_machines": 0 if gang is None else len(gang.bindings),
+        "vg_hosts": n_selected("vges"),
+        "sword_hosts": n_selected("sword"),
+        "gang_machines": n_selected("classad"),
     }
 
 

@@ -91,7 +91,6 @@ import json
 import os
 import time
 import traceback as _traceback
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -785,7 +784,6 @@ def map_cells(
     cache: ResultCache | None = None,
     namespace: str | None = None,
     key_extra: Any = None,
-    chunksize: int | None = None,
     policy: FaultPolicy | None = None,
     injector: "faults.FaultInjector | None" = None,
 ) -> list[R]:
@@ -811,19 +809,7 @@ def map_cells(
 
     ``fn`` and the cells must be picklable for ``jobs > 1`` (module-level
     functions, ``functools.partial`` over them, plain-data cells).
-    ``chunksize`` is deprecated and has no effect — the incremental
-    dispatcher submits cells individually so it can retry, time out, and
-    checkpoint them individually.  Passing it emits a
-    :class:`DeprecationWarning`.
     """
-    if chunksize is not None:
-        warnings.warn(
-            "map_cells(chunksize=...) is deprecated and has no effect: "
-            "cells are dispatched individually for retry/timeout/"
-            "checkpoint granularity",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     cells = list(cells)
     jobs = resolve_jobs(jobs)
     if policy is None:

@@ -46,13 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.selection.classad.evaluator import EvalContext, evaluate
-from repro.selection.index import (
-    HostIndex,
-    IndexPlan,
-    plan_constraint,
-    residual_ok,
-    validate_indexing,
-)
+from repro.selection.index import HostIndex, IndexPlan, plan_constraint, residual_ok
 from repro.selection.classad.parser import (
     AttrRef,
     BinaryOp,
@@ -177,21 +171,16 @@ def _independent(request: ClassAd, ports: list[_Port], machines: list[ClassAd]) 
 class Matchmaker:
     """A central clearinghouse holding advertised machine ads.
 
-    ``indexing`` selects the candidate-pruning strategy for :meth:`match`
-    and :meth:`gangmatch`: ``"off"`` scans every ad per query (the naive
-    path), ``"on"`` always routes through a :class:`HostIndex`, and
-    ``"auto"`` (default) engages the index only when the request's
-    constraint yields at least one indexable clause fact.  All three
-    produce bit-identical results — the index changes candidate
+    :meth:`match` and :meth:`gangmatch` read each constraint's
+    :class:`~repro.selection.index.IndexPlan`: when the plan prunes (it
+    holds an indexable clause fact or a contradiction), candidates come
+    from a :class:`HostIndex` over the ads; otherwise every ad is scanned.
+    Both paths give bit-identical results — the index changes candidate
     enumeration, never match semantics or ordering.
     """
 
     machines: list[ClassAd] = field(default_factory=list)
-    indexing: str = "auto"
     _index: HostIndex | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        validate_indexing(self.indexing)
 
     def advertise(self, ad: ClassAd) -> None:
         """Post a resource-provider ad."""
@@ -204,9 +193,6 @@ class Matchmaker:
         if self._index is None or self._index.n != len(self.machines):
             self._index = HostIndex.from_ads(self.machines)
         return self._index
-
-    def _engaged(self, plan: IndexPlan) -> bool:
-        return self.indexing == "on" or (self.indexing == "auto" and plan.prunes)
 
     # ------------------------------------------------------------------
     def satisfies(self, request: ClassAd, machine: ClassAd) -> bool:
@@ -222,8 +208,8 @@ class Matchmaker:
     def match(self, request: ClassAd, limit: int | None = None) -> list[Match]:
         """All machines matching ``request``, best rank first."""
         r1 = _requirements(request)
-        plan = plan_constraint(r1, request=request) if self.indexing != "off" else None
-        if plan is not None and self._engaged(plan):
+        plan = plan_constraint(r1, request=request)
+        if plan.prunes:
             rows, full = self._host_index().candidates(plan)
             full_set = set(full.tolist())
             results = []
@@ -286,15 +272,12 @@ class Matchmaker:
         plans: dict[int, IndexPlan | None] = {}
         for i in list(ends) if independent else range(len(ports)):
             label, port_ad, _ = ports[i]
-            if self.indexing == "off":
-                plans[i] = None
-                continue
             plan = plan_constraint(
                 _requirements(port_ad),
                 request=request,
                 machine_scopes=("target", label),
             )
-            plans[i] = plan if self._engaged(plan) else None
+            plans[i] = plan if plan.prunes else None
 
         def scan(i: int, bound: dict[str, ClassAd], skip: set[int]) -> list[tuple[float, int]]:
             """Port ``i``'s candidates outside ``skip`` as ``(rank, row)``,

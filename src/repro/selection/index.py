@@ -1,17 +1,15 @@
-"""Indexed, vectorized candidate pruning for the selection hot path.
+"""Indexed candidate pruning for ClassAd matchmaking.
 
-Every selection backend in this repo ultimately answers the same question:
-*which hosts satisfy this boolean constraint?*  The naive answer walks the
-host table one ClassAd at a time and interprets the expression per host —
-fine at chapter scale, a wall at service scale.  This module provides the
+The ClassAd matchmaker answers *which ads satisfy this boolean
+constraint?* once per request port.  The naive answer walks the ads one at
+a time and interprets the expression per ad.  This module provides the
 indexed answer in two pieces:
 
 :class:`HostIndex`
-    A columnar snapshot of a machine population (platform hosts, machine
-    ClassAds, or vgES cluster ads): float64 columns with a *sorted index*
-    per numeric attribute and an *inverted index* (value → sorted row ids)
-    per string attribute, plus an availability mask so churned or bound
-    hosts can be masked out incrementally without a rebuild.
+    A columnar snapshot of a machine population (machine ClassAds or the
+    platform's host table): float64 columns with a *sorted index* per
+    numeric attribute and an *inverted index* (value → sorted row ids) per
+    string attribute.
 
 :func:`plan_constraint`
     A constraint-to-index planner consuming the typed clause facts the
@@ -24,6 +22,12 @@ indexed answer in two pieces:
     the ordinary per-host evaluator over the surviving candidates only.
     Contradictory conjuncts (``Clock >= 4000 && Clock < 3000``) short-circuit
     to an empty candidate set without evaluating anything.
+
+Only :class:`~repro.selection.classad.Matchmaker` consults the index, and
+only for a constraint whose plan :attr:`~IndexPlan.prunes`: every other
+constraint is answered by the full scan.  vgES and SWORD scan their cluster
+tables directly — a select builds its engine afresh, so an index over the
+cluster table would cost more to build than it saves.
 
 Equivalence contract
 --------------------
@@ -53,25 +57,18 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.selection.classad.evaluator import EvalContext, as_logical, evaluate
-from repro.selection.classad.parser import AttrRef, BinaryOp, ClassAd, Expr, Literal
+from repro.selection.classad.parser import AttrRef, ClassAd, Expr, Literal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.analysis.ir import Interval
     from repro.resources.platform import Platform
 
 __all__ = [
-    "INDEXING_MODES",
     "HostIndex",
     "IndexPlan",
     "plan_constraint",
     "residual_ok",
 ]
-
-#: The three positions of every backend's ``indexing`` switch: ``on`` forces
-#: the indexed path, ``off`` forces the naive scan, ``auto`` engages the
-#: index only when the planner extracted at least one indexable clause fact
-#: (so unindexable constraints keep the naive path's zero overhead).
-INDEXING_MODES = ("on", "off", "auto")
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -86,13 +83,6 @@ def _clause_facts():
     from repro.analysis.ir import Interval, lower_expression
 
     return Interval, lower_expression
-
-
-def validate_indexing(mode: str) -> str:
-    """Validate an ``indexing`` switch value, returning it unchanged."""
-    if mode not in INDEXING_MODES:
-        raise ValueError(f"indexing must be one of {INDEXING_MODES}, got {mode!r}")
-    return mode
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +161,7 @@ class IndexPlan:
     equalities: dict[str, str] = field(default_factory=dict)
     residual: list[Expr] = field(default_factory=list)
     contradiction: bool = False
-    #: Clause facts consumed by the index (drives the ``auto`` switch).
+    #: Clause facts consumed by the index (decides :attr:`prunes`).
     indexed_clauses: int = 0
     #: True when the constraint was a single clause: its value must be
     #: exactly ``True`` (top-level rule), with no numeric truthiness.
@@ -294,11 +284,6 @@ class HostIndex:
     numeric: dict[str, _NumericColumn] = field(default_factory=dict)
     categorical: dict[str, _CategoricalColumn] = field(default_factory=dict)
     opaque: dict[str, np.ndarray] = field(default_factory=dict)
-    available: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-
-    def __post_init__(self) -> None:
-        if self.available.size == 0:
-            self.available = np.ones(self.n, dtype=bool)
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -340,18 +325,14 @@ class HostIndex:
         )
 
     @classmethod
-    def from_platform(
-        cls, platform: "Platform", unavailable: Iterable[int] | None = None
-    ) -> "HostIndex":
+    def from_platform(cls, platform: "Platform") -> "HostIndex":
         """Index the platform's host table (row = host id).
 
         Columns mirror :meth:`repro.resources.platform.Platform.host_attributes`
         (and therefore the machine ads of
-        :func:`repro.selection.classad.builders.machine_ad`); ``unavailable``
-        pre-masks dead/busy/bound hosts.
+        :func:`repro.selection.classad.builders.machine_ad`).
         """
         table = platform.host_table()
-        n = platform.n_hosts
         numeric: dict[str, _NumericColumn] = {}
         categorical: dict[str, _CategoricalColumn] = {}
         for name, column in table.items():
@@ -365,57 +346,14 @@ class HostIndex:
                     # raw values that differ only in case.
                     groups.setdefault(str(value).lower(), []).extend(rows.tolist())
                 categorical[name] = _CategoricalColumn.build(groups)
-        index = cls(n=n, numeric=numeric, categorical=categorical)
-        if unavailable:
-            index.mark_unavailable(unavailable)
-        return index
-
-    # -- availability (churn / binding invalidation) ---------------------
-    def mark_unavailable(self, host_ids: Iterable[int]) -> None:
-        """Incrementally hide rows (host failed, or bound by anyone)."""
-        ids = np.asarray(sorted(int(h) for h in host_ids), dtype=np.int64)
-        if ids.size:
-            self.available[ids] = False
-
-    def mark_available(self, host_ids: Iterable[int]) -> None:
-        """Incrementally re-surface rows (host rejoined, binding released)."""
-        ids = np.asarray(sorted(int(h) for h in host_ids), dtype=np.int64)
-        if ids.size:
-            self.available[ids] = True
-
-    def apply_event(self, event) -> None:
-        """Fold one :class:`~repro.resources.churn.ChurnEvent` into the mask.
-
-        ``fail``/``bind`` hide the event's hosts, ``join``/``release``
-        re-surface them — the incremental alternative to a full rebuild
-        with :meth:`from_platform`.
-        """
-        if event.kind in ("fail", "bind"):
-            self.mark_unavailable(event.hosts)
-        elif event.kind in ("join", "release"):
-            self.mark_available(event.hosts)
-        else:  # pragma: no cover - future event kinds must not silently pass
-            raise ValueError(f"unknown churn event kind {event.kind!r}")
-
-    def available_count(self, row_mask: np.ndarray | None = None) -> int:
-        """Number of available rows, optionally within ``row_mask``.
-
-        ``row_mask`` is a boolean array over all rows (e.g. a clock-band
-        predicate); the count is ``available & row_mask``.  This is the
-        service's admission short-circuit: when fewer hosts than a spec's
-        ``min_size`` are available in its clock band, no backend can
-        possibly fulfill it and the engines need not be consulted.
-        """
-        if row_mask is None:
-            return int(np.count_nonzero(self.available))
-        return int(np.count_nonzero(self.available & row_mask))
+        return cls(n=platform.n_hosts, numeric=numeric, categorical=categorical)
 
     # -- queries ---------------------------------------------------------
     def candidates(self, plan: IndexPlan) -> tuple[np.ndarray, np.ndarray]:
         """Rows that can possibly satisfy ``plan``'s indexed fragment.
 
         Returns ``(rows, full_rows)``, both ascending: ``rows`` is the
-        pruned candidate set (available rows only); ``full_rows`` is the
+        pruned candidate set; ``full_rows`` is the
         subset that was admitted through an *opaque* attribute and must be
         re-checked against the full constraint instead of the residual.
         A contradictory plan yields two empty arrays.
@@ -440,7 +378,6 @@ class HostIndex:
                 out = np.intersect1d(out, s, assume_unique=True)
         else:
             out = np.arange(self.n, dtype=np.int64)
-        out = out[self.available[out]]
         needs_full = np.intersect1d(needs_full, out, assume_unique=True)
         return out, needs_full
 

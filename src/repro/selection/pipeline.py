@@ -78,7 +78,6 @@ from repro.scheduling.base import schedule_dag
 from repro.selection.classad import Matchmaker, parse_classad
 from repro.selection.classad.builders import machine_ads
 from repro.selection.classad.evaluator import EvalContext, evaluate
-from repro.selection.index import INDEXING_MODES
 from repro.selection.sword import SwordEngine
 from repro.selection.vgdl import VgES
 
@@ -123,14 +122,13 @@ class PipelineConfig:
     backoff_s: float = 5.0
     #: Backend ladder, tried left to right.
     backends: tuple[str, ...] = BACKENDS
-    #: Matchmaking is per-machine; advertise at most this many ads.
+    #: Matchmaking is per-machine, so ClassAd advertises every
+    #: ``max(1, free // max_classad_machines)``-th free host: between
+    #: ``max_classad_machines`` and ``2 * max_classad_machines - 1`` ads
+    #: once at least that many hosts are free, every free host otherwise.
     max_classad_machines: int = 400
     #: Seed for the backoff jitter (independent of the churn seed).
     seed: int = 0
-    #: Candidate pruning in the selection backends: ``on``/``off``/``auto``
-    #: (see :mod:`repro.selection.index`).  All three settings produce
-    #: bit-identical outcomes; only the selection wall-clock changes.
-    indexing: str = "auto"
     #: Virtual-time budget for the whole ladder.  When the churn clock
     #: passes ``start + deadline_s`` the run aborts with a structured
     #: ``deadline_exceeded`` outcome instead of climbing further rungs —
@@ -149,10 +147,6 @@ class PipelineConfig:
         for b in self.backends:
             if b not in BACKENDS:
                 raise ValueError(f"unknown backend {b!r} (known: {BACKENDS})")
-        if self.indexing not in INDEXING_MODES:
-            raise ValueError(
-                f"indexing must be one of {INDEXING_MODES}, got {self.indexing!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -268,7 +262,8 @@ def backoff_jitter(seed: int, backend: str, spec_index: int, attempt: int) -> fl
 
 def _advertised(free, max_machines: int):
     """The free hosts ClassAd advertises: matchmaking is per-machine, so a
-    large universe is strided down to about ``max_machines`` ads."""
+    large universe is strided to ``max_machines`` to ``2 * max_machines - 1``
+    ads (see :attr:`PipelineConfig.max_classad_machines`)."""
     return free[:: max(1, len(free) // max_machines)]
 
 
@@ -280,7 +275,7 @@ def miss_latency(
     vgES and SWORD charge one pass over the cluster table; ClassAd charges
     per advertised ad — the ``n_free`` free hosts (read only for ClassAd),
     strided as :func:`select_once` advertises them.  :func:`select_once`
-    charges these on a miss, and the service's index short-circuit
+    charges these on a miss, and the service's free-host short-circuit
     charges them without building an engine.
     """
     if backend == "classad":
@@ -294,7 +289,6 @@ def select_once(
     spec: ResourceSpecification,
     unavailable: set[int],
     *,
-    indexing: str = "auto",
     max_classad_machines: int = 400,
     deadline_remaining_s: float | None = None,
 ) -> tuple[np.ndarray | None, float]:
@@ -312,14 +306,14 @@ def select_once(
     if deadline_remaining_s is not None and deadline_remaining_s <= 0:
         return None, 0.0
     if backend == "vges":
-        engine = VgES(platform, unavailable=set(unavailable), indexing=indexing)
+        engine = VgES(platform, unavailable=set(unavailable))
         with observe.span("pipeline.select.vges"):
             vg = engine.find_and_bind(spec.to_vgdl())
         if vg is None:
             return None, miss_latency(platform, backend, 0)
         return vg.all_hosts(), vg.selection_time
     if backend == "sword":
-        engine = SwordEngine(platform, unavailable=set(unavailable), indexing=indexing)
+        engine = SwordEngine(platform, unavailable=set(unavailable))
         with observe.span("pipeline.select.sword"):
             result = engine.query(spec.to_sword_xml())
         latency = miss_latency(platform, backend, 0)
@@ -330,7 +324,7 @@ def select_once(
     free = sorted(h for h in range(platform.n_hosts) if h not in unavailable)
     ads = machine_ads(platform, _advertised(free, max_classad_machines))
     latency = miss_latency(platform, backend, len(free), max_classad_machines)
-    mm = Matchmaker(ads, indexing=indexing)
+    mm = Matchmaker(ads)
     if spec.size > len(ads):
         return None, latency
     with observe.span("pipeline.select.classad"):
@@ -705,7 +699,6 @@ class SelectionPipeline:
             backend,
             spec,
             unavailable,
-            indexing=self.config.indexing,
             max_classad_machines=self.config.max_classad_machines,
             deadline_remaining_s=deadline_remaining_s,
         )

@@ -41,7 +41,6 @@ from repro.resources.platform import (
     LATENCY_INTRA_DOMAIN_MS,
     Platform,
 )
-from repro.selection.index import validate_indexing
 
 __all__ = [
     "NumericRequirement",
@@ -72,9 +71,9 @@ def cluster_attributes(
     advertises to SWORD, keyed by :data:`NUMERIC_ATTRS` and
     :data:`CATEGORICAL_ATTRS`.
 
-    The one definition of SWORD's attribute model: the engine's
-    per-cluster and columnar paths and the platform preflight
-    (:mod:`repro.analysis.preflight`) all read it.  Hosts are idle
+    The one definition of SWORD's attribute model: the engine's columnar
+    cluster table and the platform preflight
+    (:mod:`repro.analysis.preflight`) both read it.  Hosts are idle
     single-CPU machines, so ``cpu_load`` and ``num_cpus`` are constant.
     """
     spec = platform.clusters[cid]
@@ -317,19 +316,10 @@ class SwordEngine:
 
     platform: Platform
     unavailable: set[int] = field(default_factory=set)
-    #: ``on``/``off``/``auto`` — SWORD queries are always numeric/categorical
-    #: bounds over the columnar cluster table, so ``auto`` behaves like
-    #: ``on``: feasibility and penalty are computed vectorized over all
-    #: clusters once per group (same element-wise operation sequence as the
-    #: per-cluster path, so penalties are bit-identical float64).
-    indexing: str = "auto"
 
     _cluster_cols: "dict[str, dict[str, np.ndarray]] | None" = field(
         default=None, init=False, repr=False
     )
-
-    def __post_init__(self) -> None:
-        validate_indexing(self.indexing)
 
     def query(self, query: SwordQuery | str) -> SwordResult | None:
         """Answer ``query``; None when no feasible configuration exists."""
@@ -396,23 +386,6 @@ class SwordEngine:
             return np.flatnonzero(plat.cluster_domain == zone.ident)
         return np.array([zone.ident], dtype=np.int64)
 
-    def _cluster_penalty(self, group: SwordGroup, cid: int) -> float | None:
-        """Per-host penalty for hosts of cluster ``cid``; None = infeasible."""
-        values, cats = cluster_attributes(self.platform, cid)
-        penalty = 0.0
-        for req in group.numeric:
-            v = np.array([values[req.attr]])
-            if not bool(req.feasible(v)[0]):
-                return None
-            penalty += float(req.penalty(v)[0])
-        for req in group.categorical:
-            actual = cats[req.attr]
-            if actual.lower() != req.value.lower():
-                if req.penalty_rate <= 0:
-                    return None
-                penalty += req.penalty_rate
-        return penalty
-
     def _columns(self) -> "dict[str, dict[str, np.ndarray]]":
         """Columnar cluster attribute table (cached; clusters are immutable)."""
         if self._cluster_cols is None:
@@ -435,8 +408,10 @@ class SwordEngine:
     def _group_penalty_table(self, group: SwordGroup) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized per-cluster (feasible, per-host penalty) for one group.
 
-        Applies the same requirement operations in the same order as
-        :meth:`_cluster_penalty`, element-wise over every cluster at once.
+        SWORD queries are numeric and categorical bounds over the cluster
+        table, so feasibility and penalty are computed element-wise over
+        every cluster at once, once per group: each requirement adds its
+        float64 penalty in query order, as a per-cluster loop would.
         """
         cols = self._columns()
         n = self.platform.n_clusters
@@ -460,25 +435,16 @@ class SwordEngine:
         plat = self.platform
         opts: list[tuple[float, _Zone, np.ndarray]] = []
         visited = 0
-        vectorized = self.indexing != "off"
-        if vectorized:
-            feas, pen_arr = self._group_penalty_table(group)
+        feas, pen_arr = self._group_penalty_table(group)
         for zone in self._zones_for(group.latency):
             if visited >= budget:
                 break
             visited += 1
             cids = self._zone_clusters(zone)
             # Cheapest hosts in the zone: clusters sorted by per-host penalty.
-            ranked: list[tuple[float, int]] = []
-            if vectorized:
-                for cid in cids[feas[cids]]:
-                    ranked.append((float(pen_arr[cid]), int(cid)))
-            else:
-                for cid in cids:
-                    pen = self._cluster_penalty(group, int(cid))
-                    if pen is not None:
-                        ranked.append((pen, int(cid)))
-            ranked.sort()
+            ranked = sorted(
+                (float(pen_arr[cid]), int(cid)) for cid in cids[feas[cids]]
+            )
             chosen: list[np.ndarray] = []
             total_pen = 0.0
             needed = group.num_machines

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.resources.platform import Platform
 from repro.selection.classad.evaluator import EvalContext, evaluate
-from repro.selection.index import HostIndex, plan_constraint, residual_ok, validate_indexing
 from repro.selection.classad.lexer import ClassAdParseError, tokenize
 from repro.selection.classad.parser import (
     AttrRef,
@@ -51,6 +50,10 @@ from repro.selection.classad.parser import (
     UnaryOp,
     _Parser,
 )
+
+# vgES scans its cluster ads without the index; the name stays importable
+# here because the benchmark's tracer wraps it as this module's attribute.
+from repro.selection.index import plan_constraint  # noqa: F401
 
 __all__ = [
     "VgdlAggregate",
@@ -304,16 +307,10 @@ class VgES:
     tight_bandwidth_bps: float = TIGHT_BANDWIDTH_BPS
     close_bandwidth_bps: float = CLOSE_BANDWIDTH_BPS
     unavailable: set[int] = field(default_factory=set)
-    #: ``on``/``off``/``auto`` — see :mod:`repro.selection.index`.  Cluster
-    #: ads are homogeneous literals, so the indexed and naive cluster scans
-    #: are bit-identical; ``auto`` engages only for indexable constraints.
-    indexing: str = "auto"
 
     _cluster_ads: list[ClassAd] = field(init=False, repr=False)
-    _cluster_index: "HostIndex | None" = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
-        validate_indexing(self.indexing)
         self._cluster_ads = []
         for spec in self.platform.clusters:
             self._cluster_ads.append(
@@ -339,26 +336,11 @@ class VgES:
 
     # -- cluster-level matching ----------------------------------------
     def matching_clusters(self, constraint: Expr) -> np.ndarray:
-        """Cluster ids whose (homogeneous) hosts satisfy the constraint."""
-        if self.indexing != "off":
-            # The constraint is evaluated in the cluster ad's own context,
-            # so MY/SELF scopes (and unscoped references) are machine-side.
-            plan = plan_constraint(constraint, machine_scopes=("my", "self"))
-            if self.indexing == "on" or plan.prunes:
-                if self._cluster_index is None:
-                    self._cluster_index = HostIndex.from_ads(self._cluster_ads)
-                rows, full = self._cluster_index.candidates(plan)
-                full_set = set(full.tolist())
-                out = []
-                for cid in rows.tolist():
-                    ctx = EvalContext(my=self._cluster_ads[cid])
-                    if cid in full_set:
-                        ok = evaluate(constraint, ctx) is True
-                    else:
-                        ok = residual_ok(plan, ctx)
-                    if ok:
-                        out.append(cid)
-                return np.asarray(out, dtype=np.int64)
+        """Cluster ids whose (homogeneous) hosts satisfy the constraint.
+
+        One evaluation per cluster ad, in cluster order: the engine is
+        built per select, so there is no warm index to amortize.
+        """
         out = [
             cid
             for cid, ad in enumerate(self._cluster_ads)

@@ -44,17 +44,15 @@ equality across schedules.
 
 Amortization
 ------------
-One warm :class:`~repro.selection.index.HostIndex` is kept for the whole
-run and updated incrementally: binds and rebinds mask their hosts, and
-releases and churn events re-derive the touched hosts from ground
-truth.  It answers two hot paths: a conservative short-circuit that
-refuses a selection without engine construction when fewer hosts than
-the spec's ``min_size`` are available in its clock band, and the miss
-latency of a refused query.  Respecification ladders, static preflights
-and baseline turnarounds are cached and shared across tenants;
-same-instant operations are dispatched as one batch.  Selection engines
-are not cached: every select builds its engine over the current banned
-set.
+Every select reads availability from ground truth — the churn's
+unavailable hosts plus the binder's bound ones — and nothing else.  That
+one set answers a conservative short-circuit that refuses a selection
+without engine construction when fewer free hosts than the spec's
+``min_size`` lie in its clock band, and the miss latency of a refused
+query.  Respecification ladders, static preflights and baseline
+turnarounds are cached and shared across tenants; same-instant
+operations are dispatched as one batch.  Selection engines are not
+cached: every select builds its engine over the current banned set.
 
 Resilience
 ----------
@@ -64,12 +62,12 @@ Four layers keep the service degrading gracefully instead of failing:
   (aborting with ``deadline_exceeded``), priority-tiered admission with
   deterministic load shedding at queue saturation, and a brownout mode
   that sheds optional work (alternative generation, preflight,
-  baselines, index mask refreshes) above an occupancy threshold.
+  baselines) above an occupancy threshold.
 * **Circuit breakers** — one per backend, tripping open after K
   consecutive injected failures, routing the ladder around the open
   backend (a ``breaker_open`` refusal ends that backend's rungs) and
   half-opening on a deterministic virtual-time cooldown.  Breakers,
-  injected backend faults, the index short-circuit and brownout all
+  injected backend faults, the free-host short-circuit and brownout all
   live in the dispatcher's ``select`` operation; injected bind stalls
   live in the port's ``bind``.  The ladder only sees refusal reasons.
 * **Failure isolation** — tenant coroutines run under a supervisor (and
@@ -106,7 +104,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -120,7 +118,6 @@ from repro.journal import Journal, inputs_digest
 from repro.resources.binding import Binder
 from repro.resources.churn import ChurnConfig, ResourceChurn, inject_storm
 from repro.resources.platform import Platform
-from repro.selection.index import HostIndex
 from repro.selection.pipeline import (
     Climb,
     PipelineConfig,
@@ -490,8 +487,8 @@ class ServiceConfig:
     deadline_s: float = math.inf
     #: Occupancy fraction — ``(inflight + waiting) / (max_inflight +
     #: queue_capacity)`` — at or above which brownout engages, shedding
-    #: optional work (alternative generation, preflight, baselines,
-    #: index refreshes).  Default 1.0: brownout only at full saturation.
+    #: optional work (alternative generation, preflight, baselines).
+    #: Default 1.0: brownout only at full saturation.
     brownout_threshold: float = 1.0
     #: Consecutive backend failures (injected errors/hangs) that trip
     #: that backend's circuit breaker open.
@@ -606,9 +603,9 @@ class SelectionService:
 
     ``run(requests)`` replays bit-identically for fixed ``(platform,
     churn_config, config, requests)`` — including across interleave
-    seeds.  Each call builds a fresh ``Binder``, churn state machine
-    (from ``churn_config``) and host index, so back-to-back runs are
-    independent; selection engines are built per select, never cached.
+    seeds.  Each call builds a fresh ``Binder`` and churn state machine
+    (from ``churn_config``), so back-to-back runs are independent;
+    selection engines are built per select, never cached.
     """
 
     platform: Platform
@@ -664,9 +661,6 @@ class SelectionService:
                 ),
                 binder=self._binder,
             )
-        self._index = HostIndex.from_platform(
-            self.platform, unavailable=self._churn.unavailable()
-        )
         # Engines compare ``Clock`` in MHz; keep a dedicated MHz column so
         # the short-circuit band test hits the exact same float boundary.
         self._clock_mhz = self.platform.host_clock * 1000.0
@@ -681,7 +675,6 @@ class SelectionService:
         self._queue_waits: dict[int, list[float]] = {}
         self._batch_sizes: list[int] = []
         self._brownout = False
-        self._mask_dirty: set[int] = set()
         self._breakers = {
             b: {"state": "closed", "fails": 0, "opened_at": 0.0}
             for b in self.config.pipeline.backends
@@ -697,10 +690,8 @@ class SelectionService:
 
         self._kernel = _Kernel(self.config.interleave_seed, self._on_advance)
         self._clock = VirtualClock(self._kernel)
-        # Apply anything pending at t = 0 (busy hosts are pre-masked).
-        events = self._churn.advance(0.0)
-        if events:
-            self._refresh_mask(h for e in events for h in e.hosts)
+        # Apply anything pending at t = 0.
+        self._churn.advance(0.0)
 
         self._kernel.spawn(
             self._dispatch_loop(), tier=1, name="dispatcher", critical=True
@@ -789,41 +780,10 @@ class SelectionService:
     # Kernel hooks
     # ------------------------------------------------------------------
     def _on_advance(self, to_time: float) -> None:
-        """Apply churn up to ``to_time`` before any task at that time.
-
-        Under brownout the index mask refresh — optional work: the mask
-        only powers a conservative short-circuit, which is disabled
-        while any deferral is outstanding — is postponed and the touched
-        hosts are re-derived from ground truth when brownout lifts.
-        """
+        """Apply churn up to ``to_time`` before any task at that time."""
         events = self._churn.advance(to_time)
         if events:
             observe.inc("service.churn_events", len(events))
-            touched = [int(h) for e in events for h in e.hosts]
-            if self._brownout:
-                self._mask_dirty.update(touched)
-                observe.inc("service.brownout_mask_deferrals")
-            else:
-                self._refresh_mask(touched)
-
-    def _refresh_mask(self, host_ids: Iterable[int]) -> None:
-        """Re-derive the index availability of ``host_ids`` from ground
-        truth.  (Churn ``release`` events list the competitor's whole
-        grab tuple while only the subset it actually held was bound, so
-        blind per-event masking would drift; ground truth never does.)"""
-        unavailable = self._churn.unavailable()
-        bound = self._binder.bound_hosts
-        free: list[int] = []
-        taken: list[int] = []
-        for h in sorted({int(x) for x in host_ids}):
-            if h in unavailable or h in bound:
-                taken.append(h)
-            else:
-                free.append(h)
-        if free:
-            self._index.mark_available(free)
-        if taken:
-            self._index.mark_unavailable(taken)
 
     # ------------------------------------------------------------------
     # Tenant -> dispatcher plumbing
@@ -910,11 +870,6 @@ class SelectionService:
         engaged = occupancy >= self.config.brownout_threshold
         if engaged and not self._brownout:
             observe.inc("service.brownout_entries")
-        if not engaged and self._brownout and self._mask_dirty:
-            # Brownout lifted: resync the deferred hosts from ground
-            # truth so the short-circuit becomes safe to use again.
-            self._refresh_mask(self._mask_dirty)
-            self._mask_dirty.clear()
         self._brownout = engaged
         observe.gauge("service.brownout", 1.0 if engaged else 0.0)
 
@@ -972,6 +927,7 @@ class SelectionService:
                 observe.inc("service.breaker_skips")
                 op.future.resolve((None, 0.0, "breaker_open"))
                 return
+        unavailable = self._churn.unavailable() | self._binder.bound_hosts
         if self.faults is not None:
             fault = self.faults.backend_fault(
                 backend, op.tenant, op.rid, s_idx, attempt, now
@@ -980,34 +936,27 @@ class SelectionService:
                 latency = (
                     self.faults.hang_s
                     if fault == "hang"
-                    else self._miss_latency(backend)
+                    else self._miss_latency(backend, unavailable)
                 )
                 observe.inc(f"service.backend_{fault}s")
                 self._breaker_failure(backend)
                 op.future.resolve((None, latency, f"backend_{fault}"))
                 return
         band = self._clock_mhz >= spec.clock_min_mhz
-        if (
-            not self._brownout
-            and not self._mask_dirty
-            and self._index.available_count(band) < spec.min_size
-        ):
+        free_in_band = np.count_nonzero(band) - np.count_nonzero(band[list(unavailable)])
+        if free_in_band < spec.min_size:
             # No backend can produce min_size hosts in the clock band —
             # all three treat the lower clock bound as hard — so skip
             # engine construction and reproduce the exact miss latency.
-            # (Disabled while brownout defers mask refreshes: a stale
-            # mask would make the short-circuit non-conservative.)
             observe.inc("service.index_shortcircuits")
-            op.future.resolve((None, self._miss_latency(backend), None))
+            op.future.resolve((None, self._miss_latency(backend, unavailable), None))
             return
-        unavailable = self._churn.unavailable() | self._binder.bound_hosts
         cfg = self.config.pipeline
         hosts, latency = select_once(
             self.platform,
             backend,
             spec,
             unavailable,
-            indexing=cfg.indexing,
             max_classad_machines=cfg.max_classad_machines,
             deadline_remaining_s=remaining,
         )
@@ -1035,13 +984,14 @@ class SelectionService:
             breaker["state"] = "closed"
         breaker["fails"] = 0
 
-    def _miss_latency(self, backend: str) -> float:
+    def _miss_latency(self, backend: str, unavailable: set[int]) -> float:
         """Latency of a refused query, without the engine: the shared
-        :func:`~repro.selection.pipeline.miss_latency` rule."""
+        :func:`~repro.selection.pipeline.miss_latency` rule over the hosts
+        outside ``unavailable``."""
         return miss_latency(
             self.platform,
             backend,
-            self._index.available_count(),
+            self.platform.n_hosts - len(unavailable),
             self.config.pipeline.max_classad_machines,
         )
 
@@ -1051,7 +1001,6 @@ class SelectionService:
         if conflicts:
             observe.inc("service.bind_conflicts")
         elif hosts.size:
-            self._index.mark_unavailable(int(h) for h in hosts.ravel())
             # Track what each live request holds so a crashed tenant's
             # supervisor can hand the exact set back to ``finish``.
             self._held_by[op.rid] = [int(h) for h in hosts.ravel()]
@@ -1066,7 +1015,6 @@ class SelectionService:
             )
             if conflicts:  # pragma: no cover - free is derived from bound
                 raise ServiceError(f"rebind conflicts on free hosts: {conflicts}")
-            self._index.mark_unavailable(replacements)
             self._held_by.setdefault(op.rid, []).extend(
                 int(h) for h in replacements
             )
@@ -1076,7 +1024,6 @@ class SelectionService:
         held = [int(h) for h in op.payload if self._binder.is_bound(int(h))]
         if held:
             self._binder.release(np.asarray(held, dtype=np.int64))
-            self._refresh_mask(held)
         self._held_by.pop(op.rid, None)
         self._admitted_live.discard(op.rid)
         self._inflight -= 1

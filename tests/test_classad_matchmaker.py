@@ -1,6 +1,7 @@
 """Tests for Matchmaking and Gangmatching."""
 
 import sys
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import pytest
@@ -18,6 +19,12 @@ from repro.selection.classad import (
     parse_expression,
 )
 from repro.selection.classad.matchmaker import MatchError
+from repro.selection.index import IndexPlan
+
+#: ``off`` patches the matchmaker's planner to an empty plan, which prunes
+#: nothing, so every port scans all ads; ``auto`` is the shipped planner,
+#: which uses the index whenever the plan prunes.
+PLANNERS = {"off": lambda *args, **kwargs: IndexPlan(), "auto": matchmaker.plan_constraint}
 
 
 def _machine(**attrs):
@@ -194,8 +201,8 @@ def test_gangmatch_duplicate_labels_bind_their_own_machines(ports, expected):
     assert _host_ids(gang) == expected
 
 
-@pytest.mark.parametrize("indexing", ["off", "auto"])
-def test_gangmatch_count_groups_bind_or_fail_fast(monkeypatch, indexing):
+@pytest.mark.parametrize("planner", list(PLANNERS))
+def test_gangmatch_count_groups_bind_or_fail_fast(monkeypatch, planner):
     # 12 of 16 ads match.  Each Count group is scanned once (at most 4
     # evaluator calls per ad) and its replicas bind at increasing positions
     # of that scan.  The full search rescans per replica and, when fewer
@@ -214,7 +221,8 @@ def test_gangmatch_count_groups_bind_or_fail_fast(monkeypatch, indexing):
         return real_evaluate(expr, ctx, *args)
 
     monkeypatch.setattr(matchmaker, "evaluate", counted)
-    mm = Matchmaker(ads, indexing=indexing)
+    monkeypatch.setattr(matchmaker, "plan_constraint", PLANNERS[planner])
+    mm = Matchmaker(ads)
 
     def gangmatch(*groups):
         """Gangmatch one port per ``(label, count)``; return the result and
@@ -292,8 +300,8 @@ def _gang_instances(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_gang_instances(), st.sampled_from(["off", "auto"]))
-def test_gangmatch_replica_groups_equal_full_search(instance, indexing):
+@given(_gang_instances(), st.sampled_from(list(PLANNERS)))
+def test_gangmatch_replica_groups_equal_full_search(instance, planner):
     machines, text = instance
     request = parse_classad(text)
     # An attribute naming a port label makes the request dependent, so it
@@ -303,8 +311,9 @@ def test_gangmatch_replica_groups_equal_full_search(instance, indexing):
     ports = Matchmaker._ports(request)
     assert matchmaker._independent(request, ports, machines)
     assert not matchmaker._independent(coupled, ports, machines)
-    mm = Matchmaker(machines, indexing=indexing)
-    fast, full = mm.gangmatch(request), mm.gangmatch(coupled)
+    mm = Matchmaker(machines)
+    with patch.object(matchmaker, "plan_constraint", PLANNERS[planner]):
+        fast, full = mm.gangmatch(request), mm.gangmatch(coupled)
     assert (fast is None) == (full is None)
     if fast is not None:
         assert _host_ids(fast) == _host_ids(full)

@@ -144,20 +144,6 @@ def test_map_cells_empty_input():
     assert map_cells(_noisy_cell, [], jobs=4) == []
 
 
-def test_map_cells_chunksize_is_deprecated_noop():
-    # chunksize never had an effect (cells are dispatched individually
-    # for retry/timeout/checkpoint granularity); passing it now warns.
-    import warnings
-
-    with pytest.warns(DeprecationWarning, match="chunksize"):
-        results = map_cells(_noisy_cell, list(range(4)), jobs=1, chunksize=2)
-    assert results == map_cells(_noisy_cell, list(range(4)), jobs=1)
-    # Omitting it stays silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        map_cells(_noisy_cell, list(range(2)), jobs=1)
-
-
 def test_observation_knees_identical_for_any_worker_count():
     # The ported hot sweep must produce bit-identical tables at any -j.
     j1 = build_observation_knees(MICRO_GRID, seed=0, jobs=1)
@@ -226,10 +212,3 @@ def test_set_fault_policy_returns_previous():
     finally:
         set_fault_policy(baseline)
 
-
-def test_map_cells_accepts_legacy_chunksize():
-    # chunksize predates the incremental dispatcher; it is accepted for
-    # API compatibility (with a DeprecationWarning) and ignored.
-    with pytest.warns(DeprecationWarning, match="chunksize"):
-        results = map_cells(_noisy_cell, [1, 2, 3], jobs=1, chunksize=8)
-    assert results == [_noisy_cell(c) for c in [1, 2, 3]]

@@ -1,45 +1,42 @@
 """Differential tests for the indexed selection hot path.
 
-Three layers, mirroring the equivalence contract of
+Two layers, mirroring the equivalence contract of
 :mod:`repro.selection.index`:
 
 * planner/index unit tests — edge intervals (open/closed endpoints,
   ``>=``/``<=`` boundary equality), contradiction short-circuit *without
-  evaluation*, MY-shadowing, opaque attributes, availability masking;
-* differential suites — indexed vs naive paths must return identical
-  ordered results for Matchmaker.match/gangmatch, vgES cluster matching
-  and SWORD queries, including a Hypothesis sweep over random platforms
-  and specifications rendered in all three languages;
-* end-to-end replay — a seeded :class:`SelectionPipeline` run under churn
-  must produce byte-identical ``SelectionOutcome.to_dict()`` with
-  ``indexing="on"`` and ``"off"``.
+  evaluation*, MY-shadowing, opaque attributes;
+* differential suites — the ClassAd matchmaker's indexed path must return
+  the same ordered results as its full scan for match and gangmatch, and
+  SWORD's vectorized penalty table must equal a per-cluster oracle bit
+  for bit, including a Hypothesis sweep over random platforms and
+  specifications.
+
+The full scan is reached through a seam, not an option: :func:`full_scan`
+patches the matchmaker's planner to return an empty :class:`IndexPlan`,
+which prunes nothing, so every constraint takes the scan branch.
 """
 
 from __future__ import annotations
+
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro.selection.classad.matchmaker as mmod
 from repro.core.generator import ResourceSpecification
-from repro.dag import montage_dag, montage_level_counts
 from repro.resources.binding import Binder
-from repro.resources.churn import ChurnConfig, ChurnEvent, ResourceChurn
+from repro.resources.churn import ChurnConfig, ResourceChurn
 from repro.resources.generator import ClusterSpec
 from repro.resources.platform import Platform
 from repro.selection.classad import Matchmaker, parse_classad
 from repro.selection.classad.builders import machine_ads
-from repro.selection.classad.parser import ClassAd, Literal, parse_expression
-from repro.selection.index import (
-    INDEXING_MODES,
-    HostIndex,
-    plan_constraint,
-    validate_indexing,
-)
-from repro.selection.pipeline import PipelineConfig, SelectionPipeline
-from repro.selection.sword import SwordEngine
-from repro.selection.vgdl import VgES, parse_vgdl
+from repro.selection.classad.parser import ClassAd, parse_expression
+from repro.selection.index import HostIndex, IndexPlan, plan_constraint
+from repro.selection.sword import SwordEngine, cluster_attributes, parse_sword_query
 
 
 def make_platform(
@@ -61,18 +58,15 @@ def make_platform(
     return Platform(clusters=clusters, bandwidth_bps=bw)
 
 
+def full_scan():
+    """Patch the matchmaker's planner to an empty plan: it prunes nothing,
+    so match and gangmatch scan every ad."""
+    return patch.object(mmod, "plan_constraint", lambda *args, **kwargs: IndexPlan())
+
+
 # ----------------------------------------------------------------------
 # Planner unit tests
 # ----------------------------------------------------------------------
-def test_indexing_mode_validation():
-    for mode in INDEXING_MODES:
-        assert validate_indexing(mode) == mode
-    with pytest.raises(ValueError):
-        validate_indexing("sometimes")
-    with pytest.raises(ValueError):
-        Matchmaker([], indexing="yes")
-
-
 def test_planner_open_vs_closed_endpoints():
     strict = plan_constraint(parse_expression("TARGET.Clock > 2000"))
     closed = plan_constraint(parse_expression("TARGET.Clock >= 2000"))
@@ -143,13 +137,12 @@ def test_contradiction_short_circuits_without_evaluation(monkeypatch):
     ClassAd evaluation at all."""
     plat = make_platform(4)
     ads = machine_ads(plat, range(plat.n_hosts))
-    mm = Matchmaker(list(ads), indexing="on")
+    mm = Matchmaker(list(ads))
     mm._host_index()  # build before evaluation is forbidden
 
     def boom(*a, **k):  # pragma: no cover - must never run
         raise AssertionError("evaluate() called on a contradictory plan")
 
-    import repro.selection.classad.matchmaker as mmod
     import repro.selection.index as imod
 
     monkeypatch.setattr(mmod, "evaluate", boom)
@@ -228,85 +221,6 @@ def test_host_index_ignores_non_indexable_literals():
 
 
 # ----------------------------------------------------------------------
-# Invalidation under churn and binding
-# ----------------------------------------------------------------------
-def test_availability_mask_hides_and_resurfaces_hosts():
-    plat = make_platform(6)
-    index = HostIndex.from_platform(plat)
-    plan = plan_constraint(
-        parse_expression("Clock >= 0"), machine_scopes=("my", "self")
-    )
-    all_rows = index.candidates(plan)[0]
-    assert all_rows.size == plat.n_hosts
-    index.mark_unavailable([3, 5, 7])
-    rows = index.candidates(plan)[0]
-    assert not {3, 5, 7} & set(rows.tolist())
-    index.mark_available([5])
-    rows = index.candidates(plan)[0]
-    assert 5 in rows and 3 not in rows
-
-
-def test_apply_event_covers_all_churn_kinds():
-    plat = make_platform(4)
-    index = HostIndex.from_platform(plat)
-    plan = plan_constraint(
-        parse_expression("Clock >= 0"), machine_scopes=("my", "self")
-    )
-    index.apply_event(ChurnEvent(time=1.0, kind="fail", hosts=(0, 1)))
-    index.apply_event(ChurnEvent(time=2.0, kind="bind", hosts=(2,)))
-    rows = set(index.candidates(plan)[0].tolist())
-    assert not {0, 1, 2} & rows
-    index.apply_event(ChurnEvent(time=3.0, kind="join", hosts=(1,)))
-    index.apply_event(ChurnEvent(time=4.0, kind="release", hosts=(2,)))
-    rows = set(index.candidates(plan)[0].tolist())
-    assert {1, 2} <= rows and 0 not in rows
-    unknown = type("FakeEvent", (), {"kind": "evaporate", "hosts": ()})()
-    with pytest.raises(ValueError):
-        index.apply_event(unknown)
-
-
-def test_incremental_updates_match_full_rebuild_under_churn():
-    """Folding a churn trace into the mask event-by-event must equal a
-    fresh index built from the final unavailable set — a stale index must
-    never surface a dead or bound host."""
-    plat = make_platform(12, seed=4)
-    churn = ResourceChurn.from_config(
-        plat,
-        ChurnConfig(fail_rate=0.02, rejoin_s=100.0, competitor_rate=0.05,
-                    competitor_hold_s=50.0, utilization=0.0, seed=7),
-        Binder(plat),
-    )
-    incremental = HostIndex.from_platform(plat)
-    plan = plan_constraint(
-        parse_expression("Clock >= 0"), machine_scopes=("my", "self")
-    )
-    for t in (50.0, 150.0, 400.0, 900.0):
-        for event in churn.advance(t):
-            incremental.apply_event(event)
-        banned = churn.unavailable() | churn.binder.bound_hosts
-        rebuilt = HostIndex.from_platform(plat, unavailable=banned)
-        inc_rows = incremental.candidates(plan)[0]
-        np.testing.assert_array_equal(inc_rows, rebuilt.candidates(plan)[0])
-        assert not banned & set(inc_rows.tolist())
-
-
-def test_binder_bind_release_invalidation():
-    plat = make_platform(5)
-    binder = Binder(plat)
-    index = HostIndex.from_platform(plat)
-    plan = plan_constraint(
-        parse_expression("Clock >= 0"), machine_scopes=("my", "self")
-    )
-    taken = binder.bind(np.array([2, 3, 11], dtype=np.int64))
-    index.mark_unavailable(taken)
-    assert not {2, 3, 11} & set(index.candidates(plan)[0].tolist())
-    binder.release(np.array([3], dtype=np.int64))
-    index.mark_available([3])
-    rows = set(index.candidates(plan)[0].tolist())
-    assert 3 in rows and 2 not in rows
-
-
-# ----------------------------------------------------------------------
 # Differential equivalence: indexed vs naive
 # ----------------------------------------------------------------------
 def _match_key(matches):
@@ -343,11 +257,9 @@ def test_match_indexed_equals_naive(text):
     plat = make_platform(15, seed=2)
     ads = machine_ads(plat, range(plat.n_hosts))
     req = parse_classad(text)
-    naive = Matchmaker(list(ads), indexing="off").match(req)
-    for mode in ("on", "auto"):
-        assert _match_key(Matchmaker(list(ads), indexing=mode).match(req)) == _match_key(
-            naive
-        )
+    with full_scan():
+        naive = Matchmaker(list(ads)).match(req)
+    assert _match_key(Matchmaker(list(ads)).match(req)) == _match_key(naive)
 
 
 def test_gangmatch_indexed_equals_naive():
@@ -364,56 +276,78 @@ def test_gangmatch_indexed_equals_naive():
         dag_name="montage",
     )
     request = parse_classad(spec.to_classad())
-    naive = Matchmaker(list(ads), indexing="off").gangmatch(request)
-    for mode in ("on", "auto"):
-        gang = Matchmaker(list(ads), indexing=mode).gangmatch(request)
-        assert (gang is None) == (naive is None)
-        if gang is not None:
-            assert [id(m) for m in gang.machines] == [id(m) for m in naive.machines]
-            assert gang.ranks == naive.ranks
+    with full_scan():
+        naive = Matchmaker(list(ads)).gangmatch(request)
+    gang = Matchmaker(list(ads)).gangmatch(request)
+    assert naive is not None and gang is not None
+    assert [id(m) for m in gang.machines] == [id(m) for m in naive.machines]
+    assert gang.ranks == naive.ranks
 
 
 def test_match_after_advertise_uses_fresh_index():
     plat = make_platform(5)
     ads = machine_ads(plat, range(plat.n_hosts))
     req = parse_classad("[ Requirements = TARGET.Clock >= 0; Rank = 0 ]")
-    mm = Matchmaker(list(ads[:-1]), indexing="on")
+    mm = Matchmaker(list(ads[:-1]))
     before = len(mm.match(req))
     mm.advertise(ads[-1])
     assert len(mm.match(req)) == before + 1
 
 
-def _vg_key(vg):
-    if vg is None:
-        return None
-    return [h.tolist() for h in vg.hosts_per_aggregate]
+def _cluster_penalty(platform: Platform, group, cid: int) -> float | None:
+    """Per-host penalty of cluster ``cid`` for ``group``, one cluster at a
+    time; None when infeasible.  The oracle for
+    ``SwordEngine._group_penalty_table``."""
+    values, cats = cluster_attributes(platform, cid)
+    penalty = 0.0
+    for req in group.numeric:
+        v = np.array([values[req.attr]])
+        if not bool(req.feasible(v)[0]):
+            return None
+        penalty += float(req.penalty(v)[0])
+    for req in group.categorical:
+        if cats[req.attr].lower() != req.value.lower():
+            if req.penalty_rate <= 0:
+                return None
+            penalty += req.penalty_rate
+    return penalty
 
 
-VGDL_SPECS = [
-    "vg = LooseBagOf(nodes) [2:8] [rank = Nodes] { nodes = [ (Clock >= 2000) ] }",
-    "vg = TightBagOf(nodes) [2:8] { nodes = [ (Clock >= 2000) && (Memory >= 1024) ] }",
-    "vg = ClusterOf(nodes) [2:4] { nodes = [ (OpSys == LINUX) ] }",
-    "vg = LooseBagOf(nodes) [1:4] { nodes = [ (Clock >= 9000) ] }",  # infeasible
-]
+def _assert_penalty_table_matches_oracle(platform: Platform, xml: str) -> None:
+    engine = SwordEngine(platform)
+    for group in parse_sword_query(xml).groups:
+        feasible, penalty = engine._group_penalty_table(group)
+        for cid in range(platform.n_clusters):
+            expected = _cluster_penalty(platform, group, cid)
+            assert bool(feasible[cid]) == (expected is not None)
+            if expected is not None:
+                # Bit for bit: the same float64 additions in the same order.
+                assert penalty[cid].tobytes() == np.float64(expected).tobytes()
 
 
-@pytest.mark.parametrize("text", VGDL_SPECS)
-def test_vges_indexed_equals_naive(text):
-    plat = make_platform(15, seed=5)
-    spec = parse_vgdl(text)
-    naive_engine = VgES(plat, indexing="off")
-    naive = naive_engine.find_and_bind(spec)
-    for mode in ("on", "auto"):
-        engine = VgES(plat, indexing=mode)
-        for agg in spec.aggregates:
-            np.testing.assert_array_equal(
-                engine.matching_clusters(agg.constraint),
-                naive_engine.matching_clusters(agg.constraint),
-            )
-        assert _vg_key(engine.find_and_bind(spec)) == _vg_key(naive)
+SWORD_QUERY = """<request>
+  <group>
+    <name>soft</name>
+    <num_machines>4</num_machines>
+    <clock>1500.0, 2500.0, MAX, MAX, 0.01</clock>
+    <free_mem>512.0, 2048.0, MAX, MAX, 0.002</free_mem>
+    <cpu_load>0.0, 0.0, 0.1, 0.5, 3.0</cpu_load>
+    <arch><value>x86, 0.5</value></arch>
+    <os><value>linux, 0.25</value></os>
+  </group>
+  <group>
+    <name>hard</name>
+    <num_machines>2</num_machines>
+    <clock>2000.0, 3000.0, MAX, MAX, 0.1</clock>
+    <os><value>SOLARIS, 0.0</value></os>
+  </group>
+</request>"""
 
 
 def test_sword_indexed_equals_naive():
+    """The vectorized penalty table equals the per-cluster oracle on every
+    cluster, for the generator's query and for soft and hard categorical
+    requirements."""
     plat = make_platform(15, seed=6)
     spec = ResourceSpecification(
         heuristic="mcp",
@@ -425,20 +359,13 @@ def test_sword_indexed_equals_naive():
         threshold=0.001,
         dag_name="montage",
     )
-    xml = spec.to_sword_xml()
-    naive = SwordEngine(plat, indexing="off").query(xml)
-    for mode in ("on", "auto"):
-        result = SwordEngine(plat, indexing=mode).query(xml)
-        assert (result is None) == (naive is None)
-        if result is not None:
-            assert result.penalty == naive.penalty
-            assert set(result.hosts) == set(naive.hosts)
-            for name in result.hosts:
-                np.testing.assert_array_equal(result.hosts[name], naive.hosts[name])
+    for xml in (spec.to_sword_xml(), SWORD_QUERY):
+        _assert_penalty_table_matches_oracle(plat, xml)
+    assert SwordEngine(plat).query(spec.to_sword_xml()) is not None
 
 
 # ----------------------------------------------------------------------
-# Hypothesis: random platforms + specs in all three languages
+# Hypothesis: random platforms and specifications
 # ----------------------------------------------------------------------
 _spec_strategy = st.builds(
     ResourceSpecification,
@@ -459,31 +386,21 @@ _spec_strategy = st.builds(
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(seed=st.integers(min_value=0, max_value=10_000), spec=_spec_strategy)
-def test_property_indexed_equals_naive_in_all_three_languages(seed, spec):
+def test_property_indexed_equals_naive_classad_and_sword(seed, spec):
     plat = make_platform(n_clusters=8, hosts_per_cluster=4, seed=seed)
 
-    # ClassAd gangmatch.
+    # ClassAd gangmatch: index against full scan.
     ads = machine_ads(plat, range(plat.n_hosts))
     request = parse_classad(spec.to_classad())
-    g_on = Matchmaker(list(ads), indexing="on").gangmatch(request)
-    g_off = Matchmaker(list(ads), indexing="off").gangmatch(request)
-    assert (g_on is None) == (g_off is None)
-    if g_on is not None:
-        assert [id(m) for m in g_on.machines] == [id(m) for m in g_off.machines]
+    with full_scan():
+        g_scan = Matchmaker(list(ads)).gangmatch(request)
+    g_index = Matchmaker(list(ads)).gangmatch(request)
+    assert (g_index is None) == (g_scan is None)
+    if g_index is not None:
+        assert [id(m) for m in g_index.machines] == [id(m) for m in g_scan.machines]
 
-    # vgDL.
-    v_on = VgES(plat, indexing="on").find_and_bind(spec.to_vgdl())
-    v_off = VgES(plat, indexing="off").find_and_bind(spec.to_vgdl())
-    assert _vg_key(v_on) == _vg_key(v_off)
-
-    # SWORD.
-    s_on = SwordEngine(plat, indexing="on").query(spec.to_sword_xml())
-    s_off = SwordEngine(plat, indexing="off").query(spec.to_sword_xml())
-    assert (s_on is None) == (s_off is None)
-    if s_on is not None:
-        assert s_on.penalty == s_off.penalty
-        for name in s_on.hosts:
-            np.testing.assert_array_equal(s_on.hosts[name], s_off.hosts[name])
+    # SWORD: vectorized penalty table against the per-cluster oracle.
+    _assert_penalty_table_matches_oracle(plat, spec.to_sword_xml())
 
 
 @settings(
@@ -510,45 +427,6 @@ def test_property_match_equal_on_churned_platform(seed):
         '[ Requirements = TARGET.Clock >= 2000 && TARGET.OpSys == "LINUX";'
         " Rank = TARGET.Clock ]"
     )
-    assert _match_key(Matchmaker(list(ads), indexing="on").match(req)) == _match_key(
-        Matchmaker(list(ads), indexing="off").match(req)
-    )
-
-
-# ----------------------------------------------------------------------
-# Seeded pipeline replay: the degradation ladder end to end
-# ----------------------------------------------------------------------
-def _pipeline_outcome(indexing: str, churn_config: ChurnConfig) -> dict:
-    plat = make_platform(n_clusters=20, hosts_per_cluster=10, seed=8)
-    dag = montage_dag(montage_level_counts(10), ccr=0.01)
-    spec = ResourceSpecification(
-        heuristic="mcp",
-        size=16,
-        min_size=12,
-        clock_min_mhz=2000.0,
-        clock_max_mhz=4000.0,
-        connectivity="loose",
-        threshold=0.001,
-        dag_name="montage",
-    )
-    churn = ResourceChurn.from_config(plat, churn_config, Binder(plat))
-    pipeline = SelectionPipeline(plat, churn, PipelineConfig(indexing=indexing))
-    return pipeline.run(dag, spec).to_dict()
-
-
-def test_pipeline_replay_identical_quiet():
-    quiet = ChurnConfig()
-    assert _pipeline_outcome("on", quiet) == _pipeline_outcome("off", quiet)
-
-
-def test_pipeline_replay_identical_under_churn_and_ladder():
-    """Churn forces refusals/retries through the degradation ladder; the
-    outcome (attempt sequence, hosts, counters, timings) must not depend on
-    the indexing mode."""
-    churned = ChurnConfig(
-        fail_rate=0.002, competitor_rate=0.01, utilization=0.25, seed=9
-    )
-    on = _pipeline_outcome("on", churned)
-    off = _pipeline_outcome("off", churned)
-    auto = _pipeline_outcome("auto", churned)
-    assert on == off == auto
+    with full_scan():
+        naive = Matchmaker(list(ads)).match(req)
+    assert _match_key(Matchmaker(list(ads)).match(req)) == _match_key(naive)

@@ -374,9 +374,9 @@ def test_service_subsumption_pruning_skips_dominated_rung(small_platform, monkey
 
 @pytest.mark.parametrize("backend", ["vges", "classad", "sword"])
 def test_index_shortcircuit_charges_select_once_latency(small_platform, backend):
-    # min_size 54 at >= 3.2 GHz, a band of 53 hosts: the index refuses the
-    # selection without building an engine, and must charge exactly the
-    # latency select_once charges for the same miss.  The small ad cap
+    # min_size 54 at >= 3.2 GHz, a band of 53 hosts: the short-circuit
+    # refuses the selection without building an engine, and must charge
+    # exactly the latency select_once charges for the same miss.  The small ad cap
     # makes ClassAd stride its advertised hosts (and keeps the spec larger
     # than the ad set, so select_once never gangmatches).
     dag = montage_dag(montage_level_counts(3), ccr=0.01)
@@ -399,6 +399,51 @@ def test_index_shortcircuit_charges_select_once_latency(small_platform, backend)
     )
     # Arrival is t = 0, so the refusal lands after exactly the latency.
     assert (None, attempt.time_s) == expected
+
+
+def test_miss_latency_counts_free_hosts_from_ground_truth(monkeypatch):
+    """Every miss latency the service charges without an engine (index
+    short-circuits and injected backend errors) counts the hosts free at
+    that instant, as select_once does — brownout included."""
+    from dataclasses import replace
+
+    import repro.service as service_mod
+    from repro.experiments.chapter4 import build_universe
+    from repro.experiments.scales import get_scale
+    from repro.faults import ServiceFaultInjector
+
+    platform = build_universe(get_scale("smoke"), 0)
+    requests = synthesize_requests(platform, 8, seed=0)
+    # Every third tenant asks for a band too scarce to bind at once.
+    requests = [
+        replace(r, spec=make_spec(r.dag, 40, clock_ghz=3.4, heterogeneity_tolerance=0.0))
+        if r.tenant % 3 == 0
+        else r
+        for r in requests
+    ]
+    service = SelectionService(
+        platform,
+        ChurnConfig(fail_rate=0.002, competitor_rate=0.01, utilization=0.25, seed=1),
+        ServiceConfig(
+            brownout_threshold=0.3,
+            max_inflight=2,
+            queue_capacity=6,
+            pipeline=PipelineConfig(backends=("classad", "sword")),
+        ),
+        faults=ServiceFaultInjector(backend_error_p=0.3, seed=4),
+    )
+    real = service_mod.miss_latency
+    calls = []
+
+    def checked(plat, backend, n_free, *args):
+        banned = service._churn.unavailable() | service._binder.bound_hosts
+        calls.append((service._brownout, backend, n_free, plat.n_hosts - len(banned)))
+        return real(plat, backend, n_free, *args)
+
+    monkeypatch.setattr(service_mod, "miss_latency", checked)
+    service.run(requests)
+    assert any(brownout and backend == "classad" for brownout, backend, _, _ in calls)
+    assert [c for c in calls if c[2] != c[3]] == []
 
 
 @pytest.mark.slow

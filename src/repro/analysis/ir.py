@@ -122,10 +122,11 @@ _CONCRETE_TYPES = frozenset({"number", "string", "bool"})
 # ----------------------------------------------------------------------
 # Vocabulary, intervals and expression helpers
 # ----------------------------------------------------------------------
-#: Attribute → type vocabulary, assembled from every attribute any backend
-#: in this repo advertises: :func:`repro.selection.classad.builders.machine_ad`,
-#: :meth:`repro.resources.platform.Platform.host_attributes`, the vgDL
-#: evaluator's cluster ads, and the job-request side.  Keys are lowercase.
+#: Attribute → type vocabulary: every name a host advertises (the one
+#: attribute model, :meth:`repro.resources.platform.Platform.host_attributes`,
+#: which every backend's ads project), the job-request side, Condor's
+#: ``Mips`` and the expression-valued ``Requirements``/``Rank``.  Keys
+#: are lowercase.
 DEFAULT_VOCABULARY: dict[str, str] = {
     # numeric
     "clock": "number",

@@ -7,7 +7,8 @@ host*.  The checks are deliberately sound-only:
 
 * clause-by-clause host elimination over per-cluster advertisement ads
   (clusters are homogeneous, so one evaluation per cluster covers every
-  host), and
+  host; a clause on a per-host name such as ``HostId`` eliminates
+  nothing), and
 * capacity — do enough matching hosts exist at all?
 
 Documents of any frontend language (vgDL, ClassAds, SWORD XML, JSON
@@ -32,9 +33,11 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis import ir
+from repro.resources.platform import PER_HOST_ATTRIBUTES
 from repro.selection.classad.evaluator import EvalContext, evaluate
 from repro.selection.classad.parser import ClassAd, Expr, parse_expression
 from repro.selection.sword import cluster_attributes
+from repro.selection.vgdl import ADVERTISED as VGES_ADVERTISED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.generator import ResourceSpecification
@@ -69,38 +72,31 @@ class PreflightResult:
         return first.format() if first is not None else "unsatisfiable"
 
 
+#: The host attributes a preflight cluster ad advertises, in ad order
+#: (values from :meth:`repro.resources.platform.Platform.cluster_attributes`):
+#: the vgES names plus the per-cluster names of the ClassAd machine ads.
+ADVERTISED = ("Type", *VGES_ADVERTISED, "LoadAvg", "CpuLoad", "KeyboardIdle")
+
+#: Lowercase per-host names: a cluster ad cannot decide a clause on them.
+_PER_HOST = frozenset(name.lower() for name in PER_HOST_ATTRIBUTES)
+
+
 def cluster_ads(platform: "Platform") -> list[tuple[ClassAd, int]]:
     """Per-cluster advertisement ads and host counts.
 
-    The attribute set is the union of every name a backend advertises —
-    vgDL cluster ads, ClassAd machine ads and the platform host
-    attributes — so any request the generator can emit evaluates without
-    UNDEFINED surprises.
+    Each ad carries every per-cluster name the vgES cluster ads and the
+    ClassAd machine ads advertise (and ``CpuLoad``), so any request the
+    generator can emit evaluates without UNDEFINED surprises.  The
+    per-host names
+    (:data:`~repro.resources.platform.PER_HOST_ATTRIBUTES`) are left out
+    because no cluster ad can answer them — :func:`_preflight_clauses`
+    keeps every cluster for a clause that references one — and so is
+    ``ClusterId``, which no engine advertises.
     """
     out: list[tuple[ClassAd, int]] = []
-    for spec in platform.clusters:
-        ad = ClassAd.from_values(
-            {
-                "Type": "Machine",
-                "Clock": spec.clock_ghz * 1000.0,
-                "ClockGhz": spec.clock_ghz,
-                "Memory": spec.memory_mb,
-                "FreeMem": spec.memory_mb,
-                "Disk": 20.0 * spec.memory_mb,
-                "FreeDisk": 20.0 * spec.memory_mb,
-                "Processor": spec.arch,
-                "Arch": spec.arch,
-                "OpSys": spec.os,
-                "OS": spec.os,
-                "Region": platform.region_of_cluster(spec.cluster_id),
-                "Nodes": spec.n_hosts,
-                "KFlops": spec.clock_ghz * 1.0e6,
-                "Cluster": spec.name,
-                "LoadAvg": 0.0,
-                "CpuLoad": 0.0,
-                "KeyboardIdle": 3600,
-            }
-        )
+    for cid, spec in enumerate(platform.clusters):
+        attrs = platform.cluster_attributes(cid)
+        ad = ClassAd.from_values({name: attrs[name] for name in ADVERTISED})
         out.append((ad, int(spec.n_hosts)))
     return out
 
@@ -114,22 +110,30 @@ def _preflight_clauses(
     lang: str,
     report: DiagnosticReport,
 ) -> PreflightResult:
-    """Clause-by-clause host elimination over lowered IR clauses."""
+    """Clause-by-clause host elimination over lowered IR clauses.
+
+    A clause that references a per-host name keeps every surviving
+    cluster: its hosts may differ on it, so eliminating them would not
+    be sound.
+    """
     ads = cluster_ads(platform)
     empty = ClassAd()
     alive = list(range(len(ads)))
     trace: list[tuple[str, int]] = []
     eliminating: str | None = None
     for clause in clauses:
-        survivors = []
-        for idx in alive:
-            ad = ads[idx][0]
-            if label is None:
-                ctx = EvalContext(my=ad)
-            else:
-                ctx = EvalContext(my=empty, bindings={label: ad})
-            if evaluate(clause.expr, ctx) is True:
-                survivors.append(idx)
+        if any(ref.name.lower() in _PER_HOST for ref in ir.attr_refs(clause.expr)):
+            survivors = alive
+        else:
+            survivors = []
+            for idx in alive:
+                ad = ads[idx][0]
+                if label is None:
+                    ctx = EvalContext(my=ad)
+                else:
+                    ctx = EvalContext(my=empty, bindings={label: ad})
+                if evaluate(clause.expr, ctx) is True:
+                    survivors.append(idx)
         hosts = sum(ads[i][1] for i in survivors)
         rendered = clause.expr.unparse()
         trace.append((rendered, hosts))

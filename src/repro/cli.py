@@ -50,6 +50,7 @@ from typing import Any, Callable
 
 from repro.core.heuristic_model import HeuristicPredictionModel
 from repro.core.size_model import ObservationGrid, SizePredictionModel
+from repro.experiments import runner
 
 __all__ = ["main"]
 
@@ -483,24 +484,8 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments import runner
-
-    argv = ["--scale", args.scale, "--seed", str(args.seed)]
-    argv += ["--all"] if args.chapter is None else ["--chapter", str(args.chapter)]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.cache_dir is not None:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv += ["--no-cache"]
-    argv += ["--max-retries", str(args.max_retries), "--on-error", args.on_error]
-    if args.cell_timeout is not None:
-        argv += ["--cell-timeout", str(args.cell_timeout)]
-    if args.trace:
-        argv += ["--trace"]
-    if args.metrics_out is not None:
-        argv += ["--metrics-out", args.metrics_out]
-    return runner.main(argv)
+    # Unlike the runner alone, no --chapter means every chapter.
+    return runner.run(args, [args.chapter] if args.chapter else list(runner.CHAPTERS))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -775,53 +760,7 @@ def main(argv: list[str] | None = None) -> int:
     p_fsck.set_defaults(fn=_cmd_fsck)
 
     p_exp = sub.add_parser("experiments", help="regenerate paper tables/figures")
-    p_exp.add_argument("--chapter", type=int, choices=(4, 5, 6, 7), default=None)
-    p_exp.add_argument("--scale", default="smoke", choices=("smoke", "small", "paper"))
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel workers (default: REPRO_JOBS or 1; 0 = all cores)",
-    )
-    p_exp.add_argument(
-        "--cache-dir",
-        default=None,
-        help="on-disk result cache location (default: the runner's .repro_cache)",
-    )
-    p_exp.add_argument(
-        "--no-cache", action="store_true", help="disable the on-disk result cache"
-    )
-    p_exp.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="extra attempts per failing sweep cell (default 2)",
-    )
-    p_exp.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per cell attempt (enforced for --jobs > 1)",
-    )
-    p_exp.add_argument(
-        "--on-error",
-        choices=("raise", "retry", "skip"),
-        default="raise",
-        help="failed-cell discipline (default raise; see the runner docs)",
-    )
-    p_exp.add_argument(
-        "--trace",
-        action="store_true",
-        help="print the tracing/metrics table to stderr after the run",
-    )
-    p_exp.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write the run's metrics as JSON to PATH",
-    )
+    runner.add_arguments(p_exp)
     p_exp.set_defaults(fn=_cmd_experiments)
 
     args = parser.parse_args(argv)

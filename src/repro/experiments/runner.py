@@ -51,10 +51,21 @@ from repro.parallel import (
     use_fault_policy,
 )
 
-__all__ = ["run_chapter4", "run_chapter5", "run_chapter6", "run_chapter7", "main"]
+__all__ = [
+    "run_chapter4",
+    "run_chapter5",
+    "run_chapter6",
+    "run_chapter7",
+    "add_arguments",
+    "run",
+    "main",
+]
 
 #: Bump when a model/training change invalidates cached trained models.
 MODELS_CACHE_VERSION = "1"
+
+#: The dissertation chapters the runner regenerates.
+CHAPTERS = (4, 5, 6, 7)
 
 
 def _models(
@@ -216,11 +227,10 @@ def run_chapter7(
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point (see module docstring)."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--chapter", type=int, choices=(4, 5, 6, 7), default=None)
-    parser.add_argument("--all", action="store_true", help="run every chapter")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the options the runner shares with the ``repro experiments``
+    subcommand on ``parser``."""
+    parser.add_argument("--chapter", type=int, choices=CHAPTERS, default=None)
     parser.add_argument("--scale", default="smoke", choices=("smoke", "small", "paper"))
     parser.add_argument(
         "--seed", type=int, default=0, help="base seed for every sweep (default 0)"
@@ -270,14 +280,12 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help="write the run's metrics registry as JSON to PATH",
     )
-    args = parser.parse_args(argv)
+
+
+def run(args: argparse.Namespace, chapters: list[int]) -> int:
+    """Run ``chapters`` with the options :func:`add_arguments` parsed."""
     scale = get_scale(args.scale)
     cache_dir = None if args.no_cache else args.cache_dir
-    chapters = [args.chapter] if args.chapter else []
-    if args.all:
-        chapters = [4, 5, 6, 7]
-    if not chapters:
-        parser.error("pass --chapter N or --all")
     policy = FaultPolicy(
         max_retries=args.max_retries,
         cell_timeout=args.cell_timeout,
@@ -287,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         # Sweep start: clear temp-file droppings a killed run left behind.
         ResultCache(cache_dir).prune_tmp()
     # A fresh registry per invocation: metrics describe this run only,
-    # even when main() is called repeatedly in-process (tests, notebooks).
+    # even when run() is called repeatedly in-process (tests, notebooks).
     with observe.use_registry(observe.MetricsRegistry()) as registry:
         # try/finally: a chapter that raises must still emit its metrics —
         # a failed run is exactly when the trace is needed.
@@ -326,6 +334,17 @@ def main(argv: list[str] | None = None) -> int:
             if args.trace:
                 print(registry.render_table(), file=sys.stderr)
     return 1 if metrics_failed else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point (see module docstring)."""
+    parser = argparse.ArgumentParser(description=__doc__)
+    add_arguments(parser)
+    parser.add_argument("--all", action="store_true", help="run every chapter")
+    args = parser.parse_args(argv)
+    if not (args.all or args.chapter):
+        parser.error("pass --chapter N or --all")
+    return run(args, list(CHAPTERS) if args.all else [args.chapter])
 
 
 if __name__ == "__main__":

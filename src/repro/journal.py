@@ -224,10 +224,6 @@ class Journal:
     def replaying(self) -> bool:
         return self._replay_index < len(self.batches)
 
-    @property
-    def replay_batches(self) -> int:
-        return len(self.batches)
-
     def append(self, record: dict[str, Any]) -> None:
         """Write-ahead one batch record (or verify it during replay)."""
         if self._replay_index < len(self.batches):

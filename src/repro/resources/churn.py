@@ -33,11 +33,11 @@ rates are events per virtual second; any subset of keys is accepted.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.faults import _parse_kv_spec
 from repro.resources.binding import Binder, sample_busy_hosts
 from repro.resources.platform import Platform
 
@@ -331,29 +331,4 @@ _SPEC_KEYS = {
 
 def parse_churn_spec(spec: str) -> ChurnConfig:
     """Build a :class:`ChurnConfig` from a ``k=v,k=v`` spec string."""
-    kwargs: dict[str, object] = {}
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or key not in _SPEC_KEYS:
-            known = ", ".join(sorted(_SPEC_KEYS))
-            raise ValueError(
-                f"unknown churn spec key {key!r} (accepted keys: {known})"
-            )
-        name, cast = _SPEC_KEYS[key]
-        try:
-            kwargs[name] = cast(value.strip())
-        except ValueError:
-            raise ValueError(f"bad value in churn spec item {item!r}") from None
-    return ChurnConfig(**kwargs)  # type: ignore[arg-type]
-
-
-def churn_digest(config: ChurnConfig) -> str:
-    """Stable hex digest of a config (for deterministic jitter seeds)."""
-    text = ",".join(
-        f"{k}={getattr(config, k)!r}" for k in sorted(ChurnConfig.__dataclass_fields__)
-    )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return ChurnConfig(**_parse_kv_spec(spec, _SPEC_KEYS, "churn"))  # type: ignore[arg-type]

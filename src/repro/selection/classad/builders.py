@@ -15,6 +15,24 @@ from repro.selection.classad.parser import ClassAd, Literal, parse_expression
 
 __all__ = ["machine_ad", "machine_ads", "job_request_ad"]
 
+#: The host attributes a machine ad advertises, in ad order (values from
+#: :meth:`repro.resources.platform.Platform.host_attributes`).
+ADVERTISED = (
+    "Type",
+    "Name",
+    "Machine",
+    "Arch",
+    "OpSys",
+    "Cluster",
+    "HostId",
+    "Clock",
+    "KFlops",
+    "Memory",
+    "Disk",
+    "LoadAvg",
+    "KeyboardIdle",
+)
+
 #: Dedicated access (§III.2.3): the host accepts any job.  Parsed once and
 #: shared by every ad, since expression nodes are immutable.
 _DEDICATED = parse_expression("LoadAvg <= 0.5")
@@ -23,23 +41,7 @@ _DEDICATED = parse_expression("LoadAvg <= 0.5")
 def machine_ad(platform: Platform, host_id: int) -> ClassAd:
     """Workstation advertisement (Fig. II-3) for one platform host."""
     attrs = platform.host_attributes(host_id)
-    ad = ClassAd.from_values(
-        {
-            "Type": "Machine",
-            "Name": f"host{host_id:06d}.{attrs['Cluster']}.grid",
-            "Machine": f"host{host_id:06d}",
-            "Arch": attrs["Arch"],
-            "OpSys": attrs["OpSys"],
-            "Cluster": attrs["Cluster"],
-            "HostId": attrs["HostId"],
-            "Clock": attrs["Clock"],
-            "KFlops": attrs["KFlops"],
-            "Memory": attrs["Memory"],
-            "Disk": attrs["FreeDisk"],
-            "LoadAvg": attrs["CpuLoad"],
-            "KeyboardIdle": 3600,
-        }
-    )
+    ad = ClassAd.from_values({name: attrs[name] for name in ADVERTISED})
     ad["Requirements"] = _DEDICATED
     ad["Rank"] = Literal(0)
     return ad

@@ -321,7 +321,7 @@ def select_once(
             return None, latency
         return result.all_hosts(), latency
     # classad: advertise the free hosts and gangmatch the request.
-    free = sorted(h for h in range(platform.n_hosts) if h not in unavailable)
+    free = np.flatnonzero(platform.free_mask(unavailable))
     ads = machine_ads(platform, _advertised(free, max_classad_machines))
     latency = miss_latency(platform, backend, len(free), max_classad_machines)
     mm = Matchmaker(ads)
@@ -341,11 +341,9 @@ def select_once(
 def fastest_free(platform: Platform, unavailable: set[int], need: int) -> list[int]:
     """The rebind rule: the ``need`` fastest hosts outside ``unavailable``,
     ties broken by host id."""
-    free = sorted(
-        (h for h in range(platform.n_hosts) if h not in unavailable),
-        key=lambda h: (-platform.host_clock[h], h),
-    )
-    return free[:need]
+    free = np.flatnonzero(platform.free_mask(unavailable))
+    order = np.argsort(-platform.host_clock[free], kind="stable")
+    return free[order][:need].tolist()
 
 
 # ----------------------------------------------------------------------

@@ -59,9 +59,18 @@ class SwordError(ValueError):
     """Raised on malformed SWORD queries."""
 
 
-#: The XML attribute tags a group may constrain (see :func:`cluster_attributes`).
-NUMERIC_ATTRS = ("cpu_load", "free_mem", "free_disk", "clock", "num_cpus")
-CATEGORICAL_ATTRS = ("os", "network_coordinate_center", "arch")
+#: The XML attribute tags a group may constrain, each mapped to the name of
+#: :meth:`repro.resources.platform.Platform.cluster_attributes` it reads.
+#: ``num_cpus`` is SWORD's own constant: every host is a single-CPU machine.
+NUMERIC_NAMES = {
+    "cpu_load": "CpuLoad",
+    "free_mem": "FreeMem",
+    "free_disk": "FreeDisk",
+    "clock": "Clock",
+}
+CATEGORICAL_NAMES = {"os": "OpSys", "arch": "Arch", "network_coordinate_center": "Region"}
+NUMERIC_ATTRS = (*NUMERIC_NAMES, "num_cpus")
+CATEGORICAL_ATTRS = tuple(CATEGORICAL_NAMES)
 
 
 def cluster_attributes(
@@ -71,24 +80,14 @@ def cluster_attributes(
     advertises to SWORD, keyed by :data:`NUMERIC_ATTRS` and
     :data:`CATEGORICAL_ATTRS`.
 
-    The one definition of SWORD's attribute model: the engine's columnar
-    cluster table and the platform preflight
-    (:mod:`repro.analysis.preflight`) both read it.  Hosts are idle
-    single-CPU machines, so ``cpu_load`` and ``num_cpus`` are constant.
+    SWORD's projection of the platform's attribute model: the engine's
+    columnar cluster table and the platform preflight
+    (:mod:`repro.analysis.preflight`) both read it.
     """
-    spec = platform.clusters[cid]
-    numeric = {
-        "cpu_load": 0.0,
-        "free_mem": float(spec.memory_mb),
-        "free_disk": 20.0 * spec.memory_mb,
-        "clock": spec.clock_ghz * 1000.0,
-        "num_cpus": 1.0,
-    }
-    categorical = {
-        "os": spec.os,
-        "arch": spec.arch,
-        "network_coordinate_center": platform.region_of_cluster(cid),
-    }
+    attrs = platform.cluster_attributes(cid)
+    numeric = {tag: float(attrs[name]) for tag, name in NUMERIC_NAMES.items()}
+    numeric["num_cpus"] = 1.0
+    categorical = {tag: attrs[name] for tag, name in CATEGORICAL_NAMES.items()}
     return numeric, categorical
 
 
@@ -327,8 +326,9 @@ class SwordEngine:
             query = parse_sword_query(query)
         # Per group: ranked list of (penalty, zone, host_ids).
         options: list[list[tuple[float, _Zone, np.ndarray]]] = []
+        free = self.platform.free_mask(self.unavailable)
         for group in query.groups:
-            opts = self._group_options(group, query.dist_query_budget)
+            opts = self._group_options(group, query.dist_query_budget, free)
             if not opts:
                 return None
             options.append(opts)
@@ -430,8 +430,11 @@ class SwordEngine:
         return feasible, penalty
 
     def _group_options(
-        self, group: SwordGroup, budget: int
+        self, group: SwordGroup, budget: int, free: np.ndarray
     ) -> list[tuple[float, _Zone, np.ndarray]]:
+        """Ranked ``(penalty, zone, hosts)`` options for one group, drawing
+        hosts from the ``free`` mask (a
+        :meth:`~repro.resources.platform.Platform.free_mask`)."""
         plat = self.platform
         opts: list[tuple[float, _Zone, np.ndarray]] = []
         visited = 0
@@ -449,10 +452,7 @@ class SwordEngine:
             total_pen = 0.0
             needed = group.num_machines
             for pen, cid in ranked:
-                hosts = np.flatnonzero(plat.host_cluster == cid)
-                if self.unavailable:
-                    hosts = hosts[~np.isin(hosts, list(self.unavailable))]
-                hosts = hosts[:needed]
+                hosts = np.flatnonzero((plat.host_cluster == cid) & free)[:needed]
                 if hosts.size == 0:
                     continue
                 chosen.append(hosts)

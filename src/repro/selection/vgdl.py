@@ -76,24 +76,28 @@ CLOSE_BANDWIDTH_BPS = 2.488e9
 AGGREGATE_KINDS = ("ClusterOf", "TightBagOf", "LooseBagOf")
 CONNECTORS = ("closeto", "farfrom", "highbw")
 
+#: The host attributes a vgES cluster ad advertises, in ad order
+#: (values from :meth:`repro.resources.platform.Platform.cluster_attributes`).
+ADVERTISED = (
+    "Clock",
+    "ClockGhz",
+    "Memory",
+    "FreeMem",
+    "Disk",
+    "FreeDisk",
+    "Processor",
+    "Arch",
+    "OpSys",
+    "OS",
+    "Region",
+    "Nodes",
+    "KFlops",
+    "Cluster",
+)
+
 #: Host attributes vgDL constraints may reference; anything else on the
 #: right-hand side of a comparison is treated as a string literal.
-KNOWN_ATTRIBUTES = {
-    "clock",
-    "clockghz",
-    "memory",
-    "freemem",
-    "freedisk",
-    "disk",
-    "processor",
-    "arch",
-    "opsys",
-    "os",
-    "region",
-    "nodes",
-    "kflops",
-    "cluster",
-}
+KNOWN_ATTRIBUTES = {name.lower() for name in ADVERTISED}
 
 
 class VgdlError(ValueError):
@@ -312,26 +316,10 @@ class VgES:
 
     def __post_init__(self) -> None:
         self._cluster_ads = []
-        for spec in self.platform.clusters:
+        for cid in range(self.platform.n_clusters):
+            attrs = self.platform.cluster_attributes(cid)
             self._cluster_ads.append(
-                ClassAd.from_values(
-                    {
-                        "Clock": spec.clock_ghz * 1000.0,
-                        "ClockGhz": spec.clock_ghz,
-                        "Memory": spec.memory_mb,
-                        "FreeMem": spec.memory_mb,
-                        "Disk": 20.0 * spec.memory_mb,
-                        "FreeDisk": 20.0 * spec.memory_mb,
-                        "Processor": spec.arch,
-                        "Arch": spec.arch,
-                        "OpSys": spec.os,
-                        "OS": spec.os,
-                        "Region": self.platform.region_of_cluster(spec.cluster_id),
-                        "Nodes": spec.n_hosts,
-                        "KFlops": spec.clock_ghz * 1.0e6,
-                        "Cluster": spec.name,
-                    }
-                )
+                ClassAd.from_values({name: attrs[name] for name in ADVERTISED})
             )
 
     # -- cluster-level matching ----------------------------------------
@@ -356,21 +344,19 @@ class VgES:
             return float(v)
         return 0.0
 
-    def _cluster_hosts(self, cid: int, exclude: set[int]) -> np.ndarray:
-        hosts = np.flatnonzero(self.platform.host_cluster == cid)
-        banned = exclude | self.unavailable
-        if banned:
-            hosts = hosts[~np.isin(hosts, list(banned))]
-        return hosts
+    def _cluster_hosts(self, cid: int, free: np.ndarray) -> np.ndarray:
+        return np.flatnonzero((self.platform.host_cluster == cid) & free)
 
     # -- aggregate selection --------------------------------------------
     def _candidate_selections(
         self,
         agg: VgdlAggregate,
         allowed_clusters: np.ndarray | None,
-        exclude_hosts: set[int],
+        free: np.ndarray,
     ) -> list[np.ndarray]:
-        """Candidate host sets for one aggregate, best rank first.
+        """Candidate host sets among the ``free`` hosts (a
+        :meth:`~repro.resources.platform.Platform.free_mask`) for one
+        aggregate, best rank first.
 
         ``ClusterOf`` yields one candidate per feasible cluster (so the
         binder can backtrack when a connector constraint later fails);
@@ -388,7 +374,7 @@ class VgES:
         if agg.kind == "ClusterOf":
             out = []
             for cid in order:
-                hosts = self._cluster_hosts(int(cid), exclude_hosts)
+                hosts = self._cluster_hosts(int(cid), free)
                 if hosts.size >= agg.lo:
                     out.append(hosts[: agg.hi])
             return out
@@ -409,7 +395,7 @@ class VgES:
                         for other in chosen_clusters
                     ):
                         continue
-                hosts = self._cluster_hosts(cid, exclude_hosts)
+                hosts = self._cluster_hosts(cid, free)
                 if hosts.size == 0:
                     continue
                 take = hosts[: max(0, agg.hi - total)]
@@ -461,11 +447,11 @@ class VgES:
             spec = parse_vgdl(spec)
         budget = [max_backtracks]
 
-        def bind(i: int, allowed: np.ndarray | None, exclude: set[int]) -> list[np.ndarray] | None:
+        def bind(i: int, allowed: np.ndarray | None, free: np.ndarray) -> list[np.ndarray] | None:
             if i == len(spec.aggregates):
                 return []
             agg = spec.aggregates[i]
-            for hosts in self._candidate_selections(agg, allowed, exclude):
+            for hosts in self._candidate_selections(agg, allowed, free):
                 if budget[0] <= 0:
                     return None
                 budget[0] -= 1
@@ -474,12 +460,14 @@ class VgES:
                     next_allowed = self._allowed_after(spec.connectors[i], hosts)
                     if next_allowed.size == 0:
                         continue
-                rest = bind(i + 1, next_allowed, exclude | {int(h) for h in hosts})
+                rest_free = free.copy()
+                rest_free[hosts] = False
+                rest = bind(i + 1, next_allowed, rest_free)
                 if rest is not None:
                     return [hosts] + rest
             return None
 
-        chosen = bind(0, None, set())
+        chosen = bind(0, None, self.platform.free_mask(self.unavailable))
         if chosen is None:
             return None
         # Selection latency: one linear pass over the cluster database per

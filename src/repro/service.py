@@ -928,6 +928,7 @@ class SelectionService:
                 op.future.resolve((None, 0.0, "breaker_open"))
                 return
         unavailable = self._churn.unavailable() | self._binder.bound_hosts
+        free = self.platform.free_mask(unavailable)
         if self.faults is not None:
             fault = self.faults.backend_fault(
                 backend, op.tenant, op.rid, s_idx, attempt, now
@@ -936,20 +937,18 @@ class SelectionService:
                 latency = (
                     self.faults.hang_s
                     if fault == "hang"
-                    else self._miss_latency(backend, unavailable)
+                    else self._miss_latency(backend, free)
                 )
                 observe.inc(f"service.backend_{fault}s")
                 self._breaker_failure(backend)
                 op.future.resolve((None, latency, f"backend_{fault}"))
                 return
-        band = self._clock_mhz >= spec.clock_min_mhz
-        free_in_band = np.count_nonzero(band) - np.count_nonzero(band[list(unavailable)])
-        if free_in_band < spec.min_size:
+        if np.count_nonzero(free & (self._clock_mhz >= spec.clock_min_mhz)) < spec.min_size:
             # No backend can produce min_size hosts in the clock band —
             # all three treat the lower clock bound as hard — so skip
             # engine construction and reproduce the exact miss latency.
             observe.inc("service.index_shortcircuits")
-            op.future.resolve((None, self._miss_latency(backend, unavailable), None))
+            op.future.resolve((None, self._miss_latency(backend, free), None))
             return
         cfg = self.config.pipeline
         hosts, latency = select_once(
@@ -984,14 +983,14 @@ class SelectionService:
             breaker["state"] = "closed"
         breaker["fails"] = 0
 
-    def _miss_latency(self, backend: str, unavailable: set[int]) -> float:
+    def _miss_latency(self, backend: str, free: np.ndarray) -> float:
         """Latency of a refused query, without the engine: the shared
-        :func:`~repro.selection.pipeline.miss_latency` rule over the hosts
-        outside ``unavailable``."""
+        :func:`~repro.selection.pipeline.miss_latency` rule over the
+        ``free`` hosts (a :meth:`~repro.resources.platform.Platform.free_mask`)."""
         return miss_latency(
             self.platform,
             backend,
-            self.platform.n_hosts - len(unavailable),
+            int(np.count_nonzero(free)),
             self.config.pipeline.max_classad_machines,
         )
 

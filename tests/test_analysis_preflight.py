@@ -13,6 +13,7 @@ from repro.analysis.preflight import (
 from repro.core.generator import ResourceSpecification
 from repro.experiments.chapter4 import build_universe
 from repro.experiments.scales import SMOKE
+from repro.selection.classad import Matchmaker, machine_ads, parse_classad
 from repro.selection.classad.parser import parse_expression
 
 
@@ -125,3 +126,19 @@ def test_preflight_is_deterministic(platform, spec):
     b = preflight_specification(spec, platform)
     assert a.matching_hosts == b.matching_hosts
     assert a.trace == b.trace
+
+
+@pytest.mark.parametrize(
+    "clause", ["cpu.HostId >= 0", 'cpu.Machine != "x"', 'cpu.Name != ""']
+)
+def test_per_host_clause_eliminates_no_cluster(platform, spec, clause):
+    # A cluster ad cannot answer a per-host name, so the preflight keeps
+    # every cluster for such a clause -- and the matchmaker, which sees
+    # the per-host machine ads, binds the same request.
+    text = spec.to_classad().replace("Constraint = ", f"Constraint = {clause} && ", 1)
+    assert clause in text
+    result = preflight_document(text, platform, "classad")
+    assert result.satisfiable, result.describe()
+    assert "SPEC201" not in result.report.codes()
+    gang = Matchmaker(machine_ads(platform)).gangmatch(parse_classad(text))
+    assert gang is not None and len(gang.machines) == spec.size

@@ -146,47 +146,59 @@ def test_train_unwritable_output_exits_2(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# experiments subcommand forwards cache and fault-policy flags
+# experiments subcommand: the runner's options reach the chapter
 # ----------------------------------------------------------------------
-def _forwarded_argv(monkeypatch, cli_args):
+def _chapter5_call(monkeypatch, cli_args):
+    """Run ``repro experiments --chapter 5`` over a stub chapter and return
+    the arguments and ambient fault policy the chapter ran with."""
+    from repro import parallel
     from repro.experiments import runner
 
     seen = {}
 
-    def fake_main(argv):
-        seen["argv"] = argv
-        return 0
+    def fake_chapter5(scale, seed=0, jobs=None, cache_dir=None):
+        seen.update(cache_dir=cache_dir, policy=parallel.get_fault_policy())
 
-    monkeypatch.setattr(runner, "main", fake_main)
-    assert main(["experiments", "--chapter", "4", "--scale", "smoke", *cli_args]) == 0
-    return seen["argv"]
+    monkeypatch.setattr(runner, "run_chapter5", fake_chapter5)
+    assert main(["experiments", "--chapter", "5", "--scale", "smoke", *cli_args]) == 0
+    return seen
 
 
 def test_experiments_forwards_cache_dir(monkeypatch, tmp_path):
     cache_dir = str(tmp_path / "cache")
-    argv = _forwarded_argv(monkeypatch, ["--cache-dir", cache_dir])
-    assert argv[argv.index("--cache-dir") + 1] == cache_dir
+    assert _chapter5_call(monkeypatch, ["--cache-dir", cache_dir])["cache_dir"] == cache_dir
 
 
 def test_experiments_forwards_no_cache(monkeypatch):
-    argv = _forwarded_argv(monkeypatch, ["--no-cache"])
-    assert "--no-cache" in argv
+    assert _chapter5_call(monkeypatch, ["--no-cache"])["cache_dir"] is None
 
 
-def test_experiments_omits_cache_flags_by_default(monkeypatch):
-    argv = _forwarded_argv(monkeypatch, [])
-    assert "--cache-dir" not in argv  # runner's own default applies
-    assert "--no-cache" not in argv
+def test_experiments_omits_cache_flags_by_default(monkeypatch, tmp_path):
+    from repro.parallel import DEFAULT_CACHE_DIR
+
+    monkeypatch.chdir(tmp_path)
+    # The runner's own default applies.
+    assert _chapter5_call(monkeypatch, [])["cache_dir"] == DEFAULT_CACHE_DIR
 
 
 def test_experiments_forwards_fault_policy_flags(monkeypatch):
-    argv = _forwarded_argv(
+    policy = _chapter5_call(
         monkeypatch,
-        ["--max-retries", "5", "--cell-timeout", "30", "--on-error", "skip"],
-    )
-    assert argv[argv.index("--max-retries") + 1] == "5"
-    assert argv[argv.index("--cell-timeout") + 1] == "30.0"
-    assert argv[argv.index("--on-error") + 1] == "skip"
+        ["--no-cache", "--max-retries", "5", "--cell-timeout", "30", "--on-error", "skip"],
+    )["policy"]
+    assert (policy.max_retries, policy.cell_timeout, policy.on_error) == (5, 30.0, "skip")
+
+
+def test_experiments_without_chapter_runs_every_chapter(monkeypatch):
+    from repro.experiments import runner
+
+    ran = []
+    for ch in runner.CHAPTERS:
+        monkeypatch.setattr(
+            runner, f"run_chapter{ch}", lambda scale, ch=ch, **kwargs: ran.append(ch)
+        )
+    assert main(["experiments", "--scale", "smoke", "--no-cache"]) == 0
+    assert ran == [4, 5, 6, 7]
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import observe
 from repro.experiments import runner
 
 
@@ -66,15 +67,13 @@ def test_cli_forwards_seed_and_jobs(monkeypatch):
 
     seen = {}
 
-    def fake_main(argv):
-        seen["argv"] = argv
-        return 0
+    def fake_chapter4(scale, seed=0, jobs=None):
+        seen.update(seed=seed, jobs=jobs)
 
-    monkeypatch.setattr(runner, "main", fake_main)
-    assert main(["experiments", "--chapter", "4", "--scale", "smoke", "--seed", "2", "--jobs", "4"]) == 0
-    argv = seen["argv"]
-    assert argv[argv.index("--seed") + 1] == "2"
-    assert argv[argv.index("--jobs") + 1] == "4"
+    monkeypatch.setattr(runner, "run_chapter4", fake_chapter4)
+    argv = ["experiments", "--chapter", "4", "--scale", "smoke", "--no-cache"]
+    assert main([*argv, "--seed", "2", "--jobs", "4"]) == 0
+    assert seen == {"seed": 2, "jobs": 4}
 
 
 def _tables(out: str) -> str:
@@ -130,35 +129,19 @@ def test_metrics_out_and_trace(tmp_path, capsys):
     assert "counters:" in err
 
 
-def test_cli_forwards_trace_and_metrics_out(monkeypatch, tmp_path):
+def test_cli_forwards_trace_and_metrics_out(monkeypatch, tmp_path, capsys):
     from repro.cli import main
 
-    seen = {}
+    def fake_chapter4(scale, seed=0, jobs=None):
+        with observe.span("fake.chapter"):
+            pass
 
-    def fake_main(argv):
-        seen["argv"] = argv
-        return 0
-
-    monkeypatch.setattr(runner, "main", fake_main)
-    out = str(tmp_path / "m.json")
-    assert (
-        main(
-            [
-                "experiments",
-                "--chapter",
-                "4",
-                "--scale",
-                "smoke",
-                "--trace",
-                "--metrics-out",
-                out,
-            ]
-        )
-        == 0
-    )
-    argv = seen["argv"]
-    assert "--trace" in argv
-    assert argv[argv.index("--metrics-out") + 1] == out
+    monkeypatch.setattr(runner, "run_chapter4", fake_chapter4)
+    out = tmp_path / "m.json"
+    argv = ["experiments", "--chapter", "4", "--scale", "smoke", "--no-cache"]
+    assert main([*argv, "--trace", "--metrics-out", str(out)]) == 0
+    assert any(path.endswith("fake.chapter") for path in json.loads(out.read_text())["spans"])
+    assert "spans (wall-clock):" in capsys.readouterr().err
 
 
 def _chapter5_metrics(tmp_path, jobs: int, tag: str) -> dict:

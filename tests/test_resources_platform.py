@@ -9,6 +9,7 @@ from repro.resources.platform import (
     LATENCY_CROSS_DOMAIN_MS,
     LATENCY_INTRA_CLUSTER_MS,
     LATENCY_INTRA_DOMAIN_MS,
+    PER_HOST_ATTRIBUTES,
     Platform,
     PlatformConfig,
     generate_platform,
@@ -87,6 +88,26 @@ def test_host_attributes():
     assert a["Region"] == "North_America"
     b = p.host_attributes(4)
     assert b["Region"] == "Europe"
+    assert p.host_attributes(3)["ClusterId"] == 1
+    assert (b["HostId"], b["Name"], b["Machine"]) == (4, "host000004.cluster0001.grid", "host000004")
+    # The host view is its cluster's attributes plus the per-host names.
+    assert {k: v for k, v in b.items() if k not in PER_HOST_ATTRIBUTES} == p.cluster_attributes(1)
+
+
+def test_host_table_is_a_columnar_view_of_host_attributes():
+    p = _mini_platform()
+    table = p.host_table()
+    for host in range(p.n_hosts):
+        attrs = p.host_attributes(host)
+        assert sorted(table) == sorted(name.lower() for name in attrs)
+        for name, value in attrs.items():
+            assert table[name.lower()][host] == value
+
+
+def test_free_mask():
+    p = _mini_platform()
+    assert p.free_mask(set()).tolist() == [True] * 5
+    assert p.free_mask({4, 1}).tolist() == [True, False, True, True, False]
 
 
 def test_latency_model():
@@ -114,10 +135,3 @@ def test_generate_platform(rng):
     assert p.cluster_domain.shape == (15,)
     f = p.comm_factor_matrix()
     assert np.all(f >= 1.0 - 1e-9)  # nothing faster than the reference link
-
-
-def test_iter_host_attributes():
-    p = _mini_platform()
-    attrs = list(p.iter_host_attributes())
-    assert len(attrs) == 5
-    assert attrs[3]["ClusterId"] == 1

@@ -13,7 +13,7 @@ from repro.experiments.scales import SMOKE
 from repro.resources.binding import Binder
 from repro.resources.churn import ChurnConfig, ChurnEvent, ChurnTrace, ResourceChurn
 from repro.scheduling.base import schedule_dag
-from repro.selection.pipeline import PipelineConfig, SelectionPipeline
+from repro.selection.pipeline import PipelineConfig, SelectionPipeline, fastest_free
 from repro.selection.vgdl import VgES
 
 
@@ -378,3 +378,20 @@ def test_replay_bit_identical_with_preflight_enabled(platform, small_montage, sp
         ).run(small_montage, spec)
 
     assert run().to_dict() == run().to_dict()
+
+
+def test_fastest_free_matches_the_sorted_loop(platform):
+    # A plain sort over the free hosts is the reference: the same hosts,
+    # in (-clock, id) order, as Python ints.
+    n = platform.n_hosts
+    rng = np.random.default_rng(0)
+    for banned_count in (0, 1, n // 5, n - 3):
+        banned = set(rng.choice(n, size=banned_count, replace=False).tolist())
+        reference = sorted(
+            (h for h in range(n) if h not in banned),
+            key=lambda h: (-platform.host_clock[h], h),
+        )
+        for need in (0, 1, 7, n):
+            got = fastest_free(platform, banned, need)
+            assert got == reference[:need]
+            assert all(type(h) is int for h in got)

@@ -225,7 +225,7 @@ class _Linter(ast.NodeVisitor):
                 node,
                 "asyncio.sleep with a non-zero delay waits in wall time; "
                 "simulations must sleep on the virtual clock "
-                "(repro.service.VirtualClock), and a pure yield point is "
+                "(the kernel of repro.service), and a pure yield point is "
                 "asyncio.sleep(0)",
             )
             return

@@ -28,9 +28,10 @@ Lowering invariants:
 * **Conjunct order is the ``&&`` chain's left-to-right leaf order** —
   the same order :func:`iter_conjuncts` yields, so pass output order is
   reproducible and matches the historic analyzers.
-* ``deep=False`` lowering (the planner's hot path) skips the
+* ``deep=False`` lowering (the platform preflight's path) skips the
   analysis-only facts (types, references, branches, spans) and extracts
-  only the clause-classification facts the planner consumes.
+  only the clause-classification facts; no selection engine consults
+  the index planner that shares them.
 
 The expression helpers the facts are built from live here too: the
 attribute vocabulary, :class:`Interval` arithmetic (whose boundary case
@@ -778,10 +779,11 @@ def lower_expression(
 
     With ``deep=True`` (the analysis path) every clause carries type,
     reference and branch facts plus source spans.  With ``deep=False``
-    (the planner's match hot path) only the clause-classification facts
-    are extracted — folded constant, numeric bound, string equality —
-    and each is computed lazily in the planner's precedence order, so
-    the cost matches the historic fact extractors exactly.
+    (the platform preflight and the index planner) only the
+    clause-classification facts are extracted — folded constant,
+    numeric bound, string equality — and each is computed lazily in the
+    planner's precedence order, so the cost matches the historic fact
+    extractors exactly.
     """
     vocab = DEFAULT_VOCABULARY if vocab is None else vocab
     nonneg = NONNEGATIVE_ATTRIBUTES if nonneg is None else nonneg

@@ -88,7 +88,7 @@ def check_constraint(
 
     Emits SPEC101–SPEC106 into ``report`` (a fresh one when omitted) and
     returns it.  The constraint must have been lowered with
-    ``deep=True`` — shallow (planner-path) clauses carry no type or
+    ``deep=True`` — shallow (preflight-path) clauses carry no type or
     reference facts and would silently under-report.
     """
     report = DiagnosticReport() if report is None else report

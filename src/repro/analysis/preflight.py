@@ -31,12 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis import ir
 from repro.resources.platform import PER_HOST_ATTRIBUTES
 from repro.selection.classad.evaluator import EvalContext, evaluate
 from repro.selection.classad.parser import ClassAd, Expr, parse_expression
-from repro.selection.sword import cluster_attributes
+from repro.selection.sword import cluster_table, in_required_range, matches_category
 from repro.selection.vgdl import ADVERTISED as VGES_ADVERTISED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -354,7 +356,11 @@ def _preflight_sword_doc(
     doc: ir.Document, platform: "Platform", report: DiagnosticReport
 ) -> PreflightResult:
     """Eliminate clusters through each group's 5-tuple required ranges
-    and hard categoricals; soft (penalised) requirements never prune."""
+    and hard categoricals, with the masks SWORD's engine applies over one
+    :func:`~repro.selection.sword.cluster_table`; soft (penalised)
+    requirements never prune."""
+    values, cats = cluster_table(platform)
+    sizes = np.array([c.n_hosts for c in platform.clusters], dtype=np.int64)
     matching = platform.n_hosts
     required = 0
     eliminating: str | None = None
@@ -362,21 +368,21 @@ def _preflight_sword_doc(
     for scope in doc.scopes:
         group_need = scope.min_hosts
         required = max(required, group_need)
-        alive = list(range(platform.n_clusters))
+        alive = np.ones(platform.n_clusters, dtype=bool)
         hosts = platform.n_hosts
         for fact in scope.ranges:
-            survivors = []
-            for cid in alive:
-                v = cluster_attributes(platform, cid)[0].get(fact.attr)
-                if v is None or (fact.required_lo <= v <= fact.required_hi):
-                    survivors.append(cid)
-            hosts = sum(platform.clusters[c].n_hosts for c in survivors)
+            before = bool(alive.any())
+            if fact.attr in values:
+                alive &= in_required_range(
+                    values[fact.attr], fact.required_lo, fact.required_hi
+                )
+            hosts = int(sizes[alive].sum())
             clause = (
                 f"{fact.attr} in [{fact.required_lo}, {fact.required_hi}] "
                 f"(group {scope.name!r})"
             )
             trace.append((clause, hosts))
-            if not survivors and alive:
+            if before and not alive.any():
                 eliminating = clause
                 report.add(
                     "SPEC201",
@@ -385,21 +391,17 @@ def _preflight_sword_doc(
                     "platform snapshot",
                     "sword",
                 )
-                alive = survivors
                 break
-            alive = survivors
         for cat in scope.categoricals:
             if eliminating is not None or cat.penalty_rate > 0:
                 continue
-            survivors = []
-            for cid in alive:
-                actual = cluster_attributes(platform, cid)[1].get(cat.attr)
-                if actual is None or actual.lower() == cat.value.lower():
-                    survivors.append(cid)
-            hosts = sum(platform.clusters[c].n_hosts for c in survivors)
+            before = bool(alive.any())
+            if cat.attr in cats:
+                alive &= matches_category(cats[cat.attr], cat.value)
+            hosts = int(sizes[alive].sum())
             clause = f"{cat.attr} == {cat.value!r} (group {scope.name!r})"
             trace.append((clause, hosts))
-            if not survivors and alive:
+            if before and not alive.any():
                 eliminating = clause
                 report.add(
                     "SPEC201",
@@ -408,7 +410,6 @@ def _preflight_sword_doc(
                     "platform snapshot",
                     "sword",
                 )
-            alive = survivors
         if eliminating is None and hosts < group_need:
             report.add(
                 "SPEC202",

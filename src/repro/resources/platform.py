@@ -175,9 +175,8 @@ class Platform:
 
     def host_table(self) -> "dict[str, np.ndarray]":
         """Columnar view of :meth:`host_attributes`: one array per
-        attribute, indexed by host id, under the lowercase name — the
-        substrate :meth:`repro.selection.index.HostIndex.from_platform`
-        indexes."""
+        attribute, indexed by host id, under the lowercase name.  Only
+        :mod:`repro.selection.index`, which no engine consults, reads it."""
         rows = [self.host_attributes(h) for h in range(self.n_hosts)]
         return {name.lower(): np.array([row[name] for row in rows]) for name in rows[0]}
 

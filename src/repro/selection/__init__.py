@@ -14,7 +14,6 @@ All engines select hosts from a :class:`repro.resources.platform.Platform`.
 """
 
 from repro.selection.classad import ClassAd, parse_classad, Matchmaker
-from repro.selection.index import HostIndex, IndexPlan, plan_constraint
 from repro.selection.vgdl import parse_vgdl, VgES, VirtualGrid
 from repro.selection.sword import parse_sword_query, SwordEngine
 from repro.selection.pipeline import (
@@ -27,9 +26,6 @@ __all__ = [
     "ClassAd",
     "parse_classad",
     "Matchmaker",
-    "HostIndex",
-    "IndexPlan",
-    "plan_constraint",
     "parse_vgdl",
     "VgES",
     "VirtualGrid",

@@ -11,6 +11,12 @@
   and when a later port cannot be bound, earlier ports fall back to their
   next-ranked candidates.
 
+Both evaluate every advertised ad, in advertisement order, against each
+constraint they scan.  The selection pipeline builds a fresh matchmaker
+per ClassAd select and runs one gangmatch on it, so an index over the
+ads would be built and probed once per select: it costs about one scan
+and cannot pay for itself.
+
 Gangmatch search
 ----------------
 A port with ``Count = k`` (the Chapter VII generator's extension) expands
@@ -23,8 +29,8 @@ non-literal expression of the advertised machine ads, names ``MY``,
 ``SELF`` or ``TARGET``; a port's own ``Constraint``/``Requirements``/
 ``Rank`` may also name that port's label.  Then a port's candidates and
 ranks do not depend on other ports' bindings, and every replica of a group
-has the same ones.  So the search plans and scans each group once, into
-one list sorted by ``(-rank, row)``; the group's replicas take strictly
+has the same ones.  So the search scans each group once, into one list
+sorted by ``(-rank, row)``; the group's replicas take strictly
 increasing positions in that list, and the group stops as soon as fewer
 unused candidates remain at or after the current position than it has
 replicas left to bind.  Both rules are exact:
@@ -46,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.selection.classad.evaluator import EvalContext, evaluate
-from repro.selection.index import HostIndex, IndexPlan, plan_constraint, residual_ok
 from repro.selection.classad.parser import (
     AttrRef,
     BinaryOp,
@@ -59,6 +64,10 @@ from repro.selection.classad.parser import (
     Ternary,
     UnaryOp,
 )
+
+# The matchmaker scans every ad without the index; the name stays importable
+# here because the benchmark's tracer wraps it as this module's attribute.
+from repro.selection.index import plan_constraint  # noqa: F401
 
 
 def _rename_scope(expr: Expr, old: str, new: str) -> Expr:
@@ -171,28 +180,16 @@ def _independent(request: ClassAd, ports: list[_Port], machines: list[ClassAd]) 
 class Matchmaker:
     """A central clearinghouse holding advertised machine ads.
 
-    :meth:`match` and :meth:`gangmatch` read each constraint's
-    :class:`~repro.selection.index.IndexPlan`: when the plan prunes (it
-    holds an indexable clause fact or a contradiction), candidates come
-    from a :class:`HostIndex` over the ads; otherwise every ad is scanned.
-    Both paths give bit-identical results — the index changes candidate
-    enumeration, never match semantics or ordering.
+    It keeps no state besides :attr:`machines`: :meth:`match` and
+    :meth:`gangmatch` scan them in advertisement order, so an ad posted
+    with :meth:`advertise` takes part in the next call.
     """
 
     machines: list[ClassAd] = field(default_factory=list)
-    _index: HostIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def advertise(self, ad: ClassAd) -> None:
         """Post a resource-provider ad."""
         self.machines.append(ad)
-        self._index = None
-
-    # -- index plumbing -------------------------------------------------
-    def _host_index(self) -> HostIndex:
-        """The (lazily rebuilt) index over the current ad population."""
-        if self._index is None or self._index.n != len(self.machines):
-            self._index = HostIndex.from_ads(self.machines)
-        return self._index
 
     # ------------------------------------------------------------------
     def satisfies(self, request: ClassAd, machine: ClassAd) -> bool:
@@ -207,37 +204,13 @@ class Matchmaker:
 
     def match(self, request: ClassAd, limit: int | None = None) -> list[Match]:
         """All machines matching ``request``, best rank first."""
-        r1 = _requirements(request)
-        plan = plan_constraint(r1, request=request)
-        if plan.prunes:
-            rows, full = self._host_index().candidates(plan)
-            full_set = set(full.tolist())
-            results = []
-            # Ascending row order reproduces the naive scan order, so the
-            # stable rank sort below tie-breaks identically.
-            for idx in rows.tolist():
-                machine = self.machines[idx]
-                req_ctx = EvalContext(my=request, target=machine)
-                if idx in full_set:
-                    ok1 = r1 is None or evaluate(r1, req_ctx) is True
-                else:
-                    ok1 = residual_ok(plan, req_ctx)
-                if not ok1:
-                    continue
-                r2 = _requirements(machine)
-                if r2 is not None:
-                    if evaluate(r2, EvalContext(my=machine, target=request)) is not True:
-                        continue
-                rank = _rank_value(request.get("Rank"), req_ctx)
+        results = []
+        for machine in self.machines:
+            if self.satisfies(request, machine):
+                rank = _rank_value(
+                    request.get("Rank"), EvalContext(my=request, target=machine)
+                )
                 results.append(Match(machine, rank))
-        else:
-            results = []
-            for machine in self.machines:
-                if self.satisfies(request, machine):
-                    rank = _rank_value(
-                        request.get("Rank"), EvalContext(my=request, target=machine)
-                    )
-                    results.append(Match(machine, rank))
         results.sort(key=lambda m: -m.rank)
         return results if limit is None else results[:limit]
 
@@ -248,7 +221,7 @@ class Matchmaker:
         Ports are satisfied greedily in order with backtracking: if a later
         port cannot be bound, earlier ports fall back to their next-ranked
         candidates.  For an independent request (module docstring) each
-        replica group is planned and scanned once, its replicas bind at
+        replica group is scanned once, its replicas bind at
         increasing positions of the group's ranked list, and the group
         gives up as soon as too few unused candidates remain; the result
         is the first success of the full search, which otherwise rescans
@@ -266,45 +239,19 @@ class Matchmaker:
         ranks: dict[str, float] = {}
         ranked_groups: dict[int, list[tuple[float, int]]] = {}
 
-        # One plan per scanned port: the port's own label names the machine
-        # being tried (``cpu.Clock`` while binding port cpu), so it is a
-        # machine scope alongside TARGET; other port labels stay residual.
-        plans: dict[int, IndexPlan | None] = {}
-        for i in list(ends) if independent else range(len(ports)):
-            label, port_ad, _ = ports[i]
-            plan = plan_constraint(
-                _requirements(port_ad),
-                request=request,
-                machine_scopes=("target", label),
-            )
-            plans[i] = plan if plan.prunes else None
-
         def scan(i: int, bound: dict[str, ClassAd], skip: set[int]) -> list[tuple[float, int]]:
             """Port ``i``'s candidates outside ``skip`` as ``(rank, row)``,
             best first, with ``bound`` visible through their labels."""
             label, port_ad, _ = ports[i]
-            plan = plans[i]
             constraint = _requirements(port_ad)
-            if plan is not None:
-                rows, full = self._host_index().candidates(plan)
-                pool = rows.tolist()
-                full_set = set(full.tolist())
-            else:
-                pool = range(len(self.machines))
-                full_set = None
             candidates: list[tuple[float, int]] = []
-            for idx in pool:
+            for idx, machine in enumerate(self.machines):
                 if idx in skip:
                     continue
-                machine = self.machines[idx]
                 trial = dict(bound)
                 trial[label] = machine
                 ctx = EvalContext(my=request, target=machine, bindings=trial)
-                if full_set is None or idx in full_set:
-                    ok = evaluate(constraint, ctx) is True if constraint is not None else True
-                else:
-                    ok = residual_ok(plan, ctx)
-                if not ok:
+                if constraint is not None and evaluate(constraint, ctx) is not True:
                     continue
                 mreq = _requirements(machine)
                 if mreq is not None:

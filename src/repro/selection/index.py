@@ -23,11 +23,13 @@ indexed answer in two pieces:
     Contradictory conjuncts (``Clock >= 4000 && Clock < 3000``) short-circuit
     to an empty candidate set without evaluating anything.
 
-Only :class:`~repro.selection.classad.Matchmaker` consults the index, and
-only for a constraint whose plan :attr:`~IndexPlan.prunes`: every other
-constraint is answered by the full scan.  vgES and SWORD scan their cluster
-tables directly — a select builds its engine afresh, so an index over the
-cluster table would cost more to build than it saves.
+No engine consults the index or the planner.  vgES, SWORD and the ClassAd
+:class:`~repro.selection.classad.Matchmaker` scan their candidates: a
+select builds its engine afresh, so an index would be built and probed
+once per select and costs about as much as the scan it replaces.  The
+module stays importable only because the benchmark's tracer wraps
+:meth:`HostIndex.from_ads`, :meth:`HostIndex.from_platform` and the
+:func:`plan_constraint` names the matchmaker and vgDL modules import.
 
 Equivalence contract
 --------------------

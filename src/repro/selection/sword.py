@@ -51,7 +51,9 @@ __all__ = [
     "SwordEngine",
     "parse_sword_query",
     "SwordError",
-    "cluster_attributes",
+    "cluster_table",
+    "in_required_range",
+    "matches_category",
 ]
 
 
@@ -72,23 +74,44 @@ CATEGORICAL_NAMES = {"os": "OpSys", "arch": "Arch", "network_coordinate_center":
 NUMERIC_ATTRS = (*NUMERIC_NAMES, "num_cpus")
 CATEGORICAL_ATTRS = tuple(CATEGORICAL_NAMES)
 
+#: ``(numeric columns, categorical columns)`` of :func:`cluster_table`.
+ClusterTable = tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
 
-def cluster_attributes(
-    platform: Platform, cid: int
-) -> tuple[dict[str, float], dict[str, str]]:
-    """The numeric and categorical values every host of cluster ``cid``
-    advertises to SWORD, keyed by :data:`NUMERIC_ATTRS` and
-    :data:`CATEGORICAL_ATTRS`.
 
-    SWORD's projection of the platform's attribute model: the engine's
-    columnar cluster table and the platform preflight
-    (:mod:`repro.analysis.preflight`) both read it.
+def cluster_table(platform: Platform) -> ClusterTable:
+    """SWORD's columnar projection of the platform's attribute model,
+    indexed by cluster id: one float64 column per :data:`NUMERIC_ATTRS`
+    tag and one lowercased string column per :data:`CATEGORICAL_ATTRS`
+    tag.
+
+    :class:`SwordEngine` builds it once per query and the platform
+    preflight (:mod:`repro.analysis.preflight`) once per call; both
+    eliminate clusters with :func:`in_required_range` and
+    :func:`matches_category`.
     """
-    attrs = platform.cluster_attributes(cid)
-    numeric = {tag: float(attrs[name]) for tag, name in NUMERIC_NAMES.items()}
-    numeric["num_cpus"] = 1.0
-    categorical = {tag: attrs[name] for tag, name in CATEGORICAL_NAMES.items()}
-    return numeric, categorical
+    rows = [platform.cluster_attributes(c) for c in range(platform.n_clusters)]
+    values = {
+        tag: np.array([float(attrs[name]) for attrs in rows], dtype=np.float64)
+        for tag, name in NUMERIC_NAMES.items()
+    }
+    values["num_cpus"] = np.ones(platform.n_clusters)
+    cats = {
+        tag: np.array([attrs[name].lower() for attrs in rows])
+        for tag, name in CATEGORICAL_NAMES.items()
+    }
+    return values, cats
+
+
+def in_required_range(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Element-wise ``lo <= v <= hi``: a value outside a requirement's
+    required range is infeasible."""
+    return (v >= lo) & (v <= hi)
+
+
+def matches_category(column: np.ndarray, value: str) -> np.ndarray:
+    """Element-wise equality of a lowercased :func:`cluster_table` column
+    with ``value``, compared case-insensitively."""
+    return column == value.lower()
 
 
 @dataclass(frozen=True)
@@ -123,7 +146,7 @@ class NumericRequirement:
 
     def feasible(self, v: np.ndarray) -> np.ndarray:
         """Element-wise: value within the required range."""
-        return (v >= self.required_lo) & (v <= self.required_hi)
+        return in_required_range(v, self.required_lo, self.required_hi)
 
     def penalty(self, v: np.ndarray) -> np.ndarray:
         """Element-wise penalty for straying outside the desired range."""
@@ -316,10 +339,6 @@ class SwordEngine:
     platform: Platform
     unavailable: set[int] = field(default_factory=set)
 
-    _cluster_cols: "dict[str, dict[str, np.ndarray]] | None" = field(
-        default=None, init=False, repr=False
-    )
-
     def query(self, query: SwordQuery | str) -> SwordResult | None:
         """Answer ``query``; None when no feasible configuration exists."""
         if isinstance(query, str):
@@ -327,8 +346,9 @@ class SwordEngine:
         # Per group: ranked list of (penalty, zone, host_ids).
         options: list[list[tuple[float, _Zone, np.ndarray]]] = []
         free = self.platform.free_mask(self.unavailable)
+        table = cluster_table(self.platform)
         for group in query.groups:
-            opts = self._group_options(group, query.dist_query_budget, free)
+            opts = self._group_options(group, query.dist_query_budget, free, table)
             if not opts:
                 return None
             options.append(opts)
@@ -386,51 +406,39 @@ class SwordEngine:
             return np.flatnonzero(plat.cluster_domain == zone.ident)
         return np.array([zone.ident], dtype=np.int64)
 
-    def _columns(self) -> "dict[str, dict[str, np.ndarray]]":
-        """Columnar cluster attribute table (cached; clusters are immutable)."""
-        if self._cluster_cols is None:
-            rows = [
-                cluster_attributes(self.platform, c)
-                for c in range(self.platform.n_clusters)
-            ]
-            self._cluster_cols = {
-                "values": {
-                    a: np.array([num[a] for num, _ in rows], dtype=np.float64)
-                    for a in NUMERIC_ATTRS
-                },
-                "cats": {
-                    a: np.array([cat[a].lower() for _, cat in rows])
-                    for a in CATEGORICAL_ATTRS
-                },
-            }
-        return self._cluster_cols
-
-    def _group_penalty_table(self, group: SwordGroup) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized per-cluster (feasible, per-host penalty) for one group.
+    def _group_penalty_table(
+        self, group: SwordGroup, table: ClusterTable
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized per-cluster (feasible, per-host penalty) for one group
+        over ``table`` (a :func:`cluster_table`).
 
         SWORD queries are numeric and categorical bounds over the cluster
         table, so feasibility and penalty are computed element-wise over
         every cluster at once, once per group: each requirement adds its
         float64 penalty in query order, as a per-cluster loop would.
         """
-        cols = self._columns()
+        values, cats = table
         n = self.platform.n_clusters
         feasible = np.ones(n, dtype=bool)
         penalty = np.zeros(n, dtype=np.float64)
         for req in group.numeric:
-            v = cols["values"][req.attr]
+            v = values[req.attr]
             feasible &= req.feasible(v)
             penalty += req.penalty(v)
         for req in group.categorical:
-            mismatch = cols["cats"][req.attr] != req.value.lower()
+            match = matches_category(cats[req.attr], req.value)
             if req.penalty_rate <= 0:
-                feasible &= ~mismatch
+                feasible &= match
             else:
-                penalty += np.where(mismatch, req.penalty_rate, 0.0)
+                penalty += np.where(match, 0.0, req.penalty_rate)
         return feasible, penalty
 
     def _group_options(
-        self, group: SwordGroup, budget: int, free: np.ndarray
+        self,
+        group: SwordGroup,
+        budget: int,
+        free: np.ndarray,
+        table: ClusterTable,
     ) -> list[tuple[float, _Zone, np.ndarray]]:
         """Ranked ``(penalty, zone, hosts)`` options for one group, drawing
         hosts from the ``free`` mask (a
@@ -438,7 +446,7 @@ class SwordEngine:
         plat = self.platform
         opts: list[tuple[float, _Zone, np.ndarray]] = []
         visited = 0
-        feas, pen_arr = self._group_penalty_table(group)
+        feas, pen_arr = self._group_penalty_table(group, table)
         for zone in self._zones_for(group.latency):
             if visited >= budget:
                 break

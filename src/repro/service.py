@@ -273,6 +273,17 @@ class _Kernel:
         self._schedule(task, max(float(start_at), self.now))
         return task
 
+    async def sleep(self, delay: float) -> None:
+        """Suspend the calling task for ``delay`` virtual seconds."""
+        if delay < 0:
+            raise ServiceError("cannot sleep a negative virtual delay")
+        await _SleepUntil(self.now + float(delay))
+
+    async def sleep_until(self, time: float) -> None:
+        """Suspend the calling task until virtual time ``time`` (at once
+        when it has passed)."""
+        await _SleepUntil(max(float(time), self.now))
+
     def _shuffle_key(self, task: _Task) -> int:
         task.wakes += 1
         digest = hashlib.sha256(
@@ -336,25 +347,6 @@ class _Kernel:
                 request._waiters.append(task)
         else:
             raise ServiceError(f"task {task.name!r} awaited a foreign object: {request!r}")
-
-
-class VirtualClock:
-    """The tenant-facing face of the kernel clock (no wall time)."""
-
-    def __init__(self, kernel: _Kernel) -> None:
-        self._kernel = kernel
-
-    @property
-    def now(self) -> float:
-        return self._kernel.now
-
-    async def sleep(self, delay: float) -> None:
-        if delay < 0:
-            raise ServiceError("cannot sleep a negative virtual delay")
-        await _SleepUntil(self._kernel.now + float(delay))
-
-    async def sleep_until(self, time: float) -> None:
-        await _SleepUntil(max(float(time), self._kernel.now))
 
 
 # ======================================================================
@@ -563,8 +555,8 @@ class _TenantPort:
         self._tenant = tenant
         self._rid = rid
         self.churn = service._churn
-        self.sleep = service._clock.sleep
-        self.sleep_until = service._clock.sleep_until
+        self.sleep = service._kernel.sleep
+        self.sleep_until = service._kernel.sleep_until
 
     @property
     def now(self) -> float:
@@ -661,8 +653,8 @@ class SelectionService:
                 ),
                 binder=self._binder,
             )
-        # Engines compare ``Clock`` in MHz; keep a dedicated MHz column so
-        # the short-circuit band test hits the exact same float boundary.
+        # Engines compare ``Clock`` in MHz against a rendered floor; keep a
+        # dedicated MHz column for the short-circuit band test.
         self._clock_mhz = self.platform.host_clock * 1000.0
         self._ladder_cache: dict = {}
         self._preflight_cache: dict = {}
@@ -689,7 +681,6 @@ class SelectionService:
             self._journal = Journal.create(journal_path, self._inputs_digest(reqs))
 
         self._kernel = _Kernel(self.config.interleave_seed, self._on_advance)
-        self._clock = VirtualClock(self._kernel)
         # Apply anything pending at t = 0.
         self._churn.advance(0.0)
 
@@ -943,10 +934,15 @@ class SelectionService:
                 self._breaker_failure(backend)
                 op.future.resolve((None, latency, f"backend_{fault}"))
                 return
-        if np.count_nonzero(free & (self._clock_mhz >= spec.clock_min_mhz)) < spec.min_size:
+        band = self._clock_mhz >= spec.clock_min_mhz - 0.5
+        if np.count_nonzero(free & band) < spec.min_size:
             # No backend can produce min_size hosts in the clock band —
             # all three treat the lower clock bound as hard — so skip
             # engine construction and reproduce the exact miss latency.
+            # vgDL and ClassAd render the floor rounded to whole MHz, so
+            # the band starts half a MHz below the spec's floor: no
+            # rendering asks for less, and a select this lets through is
+            # refused by its engine with the same miss latency.
             observe.inc("service.index_shortcircuits")
             op.future.resolve((None, self._miss_latency(backend, free), None))
             return
@@ -1111,16 +1107,16 @@ class SelectionService:
                 admitted=was_admitted,
                 queue_wait_s=None,
                 outcome=Climb(abort_reason="tenant_crash").outcome(),
-                completion_s=self._clock.now,
+                completion_s=self._kernel.now,
                 priority=req.priority,
             )
 
     async def _tenant_body(self, req: TenantRequest, request_id: int) -> TenantOutcome:
-        clock = self._clock
+        kernel = self._kernel
         faults = self.faults
 
         if faults is not None and faults.tenant_crash(
-            req.tenant, request_id, "admit", clock.now
+            req.tenant, request_id, "admit", kernel.now
         ):
             raise InjectedFault(
                 f"injected tenant crash (admit) tenant={req.tenant} rid={request_id}"
@@ -1143,7 +1139,7 @@ class SelectionService:
         self._queue_waits.setdefault(req.tenant, []).append(wait)
 
         if faults is not None and faults.tenant_crash(
-            req.tenant, request_id, "select", clock.now
+            req.tenant, request_id, "select", kernel.now
         ):
             raise InjectedFault(
                 f"injected tenant crash (select) tenant={req.tenant} rid={request_id}"
@@ -1171,7 +1167,7 @@ class SelectionService:
         baseline = None
         if walk.bound is not None:
             if faults is not None and faults.tenant_crash(
-                req.tenant, request_id, "bound", clock.now
+                req.tenant, request_id, "bound", kernel.now
             ):
                 raise InjectedFault(
                     f"injected tenant crash (bound) tenant={req.tenant} rid={request_id}"
@@ -1184,7 +1180,7 @@ class SelectionService:
                 baseline = self._baseline(req.dag, req.spec)
         outcome = walk.outcome(
             execution,
-            turnaround_s=clock.now - req.arrival_s,
+            turnaround_s=kernel.now - req.arrival_s,
             baseline_turnaround_s=baseline,
         )
         if outcome.abort_reason == "deadline_exceeded":
@@ -1200,7 +1196,7 @@ class SelectionService:
             admitted=True,
             queue_wait_s=wait,
             outcome=outcome,
-            completion_s=clock.now,
+            completion_s=kernel.now,
             priority=req.priority,
         )
 

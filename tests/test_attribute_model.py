@@ -6,6 +6,7 @@ ads, SWORD's attribute table and the preflight's cluster ads each list
 the names they carry and take the values from the model.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis import ir, preflight
@@ -64,16 +65,16 @@ def test_preflight_cluster_ads_project_the_model(platform):
 
 
 def test_sword_attributes_project_the_model(platform):
+    values, cats = sword.cluster_table(platform)
+    assert tuple(values) == sword.NUMERIC_ATTRS
+    assert tuple(cats) == sword.CATEGORICAL_ATTRS
+    assert values["num_cpus"].tolist() == [1.0] * platform.n_clusters
     for cid in range(platform.n_clusters):
         attrs = platform.cluster_attributes(cid)
-        numeric, categorical = sword.cluster_attributes(platform, cid)
-        assert tuple(numeric) == sword.NUMERIC_ATTRS
-        assert tuple(categorical) == sword.CATEGORICAL_ATTRS
-        assert numeric.pop("num_cpus") == 1.0
         for tag, name in sword.NUMERIC_NAMES.items():
-            assert type(numeric[tag]) is float and numeric[tag] == attrs[name]
+            assert values[tag].dtype == np.float64 and values[tag][cid] == attrs[name]
         for tag, name in sword.CATEGORICAL_NAMES.items():
-            assert categorical[tag] == attrs[name]
+            assert cats[tag][cid] == attrs[name].lower()
 
 
 def test_vgdl_known_attributes_are_the_vges_names():

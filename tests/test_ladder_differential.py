@@ -3,8 +3,8 @@
 
 Both drive the shared :func:`~repro.selection.pipeline.climb` and
 :func:`~repro.selection.pipeline.execute` coroutines, the pipeline over its
-own churn and the service through its dispatcher, index short-circuit and
-shared caches.  With ``max_retries=0`` no backoff is drawn, so the jitter
+own churn and the service through its dispatcher, free-host short-circuit
+and shared caches.  With ``max_retries=0`` no backoff is drawn, so the jitter
 tag (the one intended difference besides the deadline origin) never
 matters and the outcomes must agree field for field, as must the
 ``pipeline.*`` counters each run bumps.
@@ -31,8 +31,11 @@ TOLERANCES = (0.0, 0.3)
 UTILIZATIONS = (0.25, 0.9)
 CHURN_SEEDS = range(6)
 
-#: Cases of the full grid that climb past rung 0, plus one that binds
+#: Cases of the full grid that climb past rung 0, plus two that bind
 #: there: ``(size, clock, tolerance, utilization, churn seed, spec_index)``.
+#: In the last, the spec's floor (3200.4 MHz) lies just above a cluster
+#: clock that vgDL's rendered floor (``Clock >= 3200``) still admits, so
+#: the service's free-host short-circuit must not refuse rung 0.
 CLIMBING_SLICE = (
     (4, 3.5, 0.0, 0.9, 0, 2),
     (8, 3.5, 0.0, 0.25, 3, 1),
@@ -40,6 +43,7 @@ CLIMBING_SLICE = (
     (32, 3.5, 0.3, 0.9, 3, 1),
     (32, 3.0, 0.0, 0.9, 0, 1),
     (4, 3.0, 0.3, 0.25, 0, 0),
+    (16, 4.572, 0.3, 0.25, 0, 0),
 )
 
 

@@ -1,42 +1,33 @@
-"""Differential tests for the indexed selection hot path.
+"""Unit tests for :mod:`repro.selection.index`, and SWORD's vectorized
+penalty table against a per-cluster oracle.
 
-Two layers, mirroring the equivalence contract of
-:mod:`repro.selection.index`:
-
-* planner/index unit tests — edge intervals (open/closed endpoints,
-  ``>=``/``<=`` boundary equality), contradiction short-circuit *without
-  evaluation*, MY-shadowing, opaque attributes;
-* differential suites — the ClassAd matchmaker's indexed path must return
-  the same ordered results as its full scan for match and gangmatch, and
-  SWORD's vectorized penalty table must equal a per-cluster oracle bit
-  for bit, including a Hypothesis sweep over random platforms and
-  specifications.
-
-The full scan is reached through a seam, not an option: :func:`full_scan`
-patches the matchmaker's planner to return an empty :class:`IndexPlan`,
-which prunes nothing, so every constraint takes the scan branch.
+No engine consults the index: the planner and :class:`HostIndex` unit
+tests cover edge intervals (open/closed endpoints, ``>=``/``<=``
+boundary equality), contradictions, MY-shadowing and opaque attributes
+for as long as the module exists.  SWORD's penalty table must equal the
+oracle bit for bit, including over a Hypothesis sweep of random
+platforms and specifications.
 """
 
 from __future__ import annotations
 
-from unittest.mock import patch
-
 import hypothesis.strategies as st
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 
-import repro.selection.classad.matchmaker as mmod
 from repro.core.generator import ResourceSpecification
-from repro.resources.binding import Binder
-from repro.resources.churn import ChurnConfig, ResourceChurn
 from repro.resources.generator import ClusterSpec
 from repro.resources.platform import Platform
-from repro.selection.classad import Matchmaker, parse_classad
-from repro.selection.classad.builders import machine_ads
+from repro.selection.classad import parse_classad
 from repro.selection.classad.parser import ClassAd, parse_expression
-from repro.selection.index import HostIndex, IndexPlan, plan_constraint
-from repro.selection.sword import SwordEngine, cluster_attributes, parse_sword_query
+from repro.selection.index import HostIndex, plan_constraint
+from repro.selection.sword import (
+    CATEGORICAL_NAMES,
+    NUMERIC_NAMES,
+    SwordEngine,
+    cluster_table,
+    parse_sword_query,
+)
 
 
 def make_platform(
@@ -56,12 +47,6 @@ def make_platform(
     ]
     bw = np.full((n_clusters, n_clusters), 1.0e9)
     return Platform(clusters=clusters, bandwidth_bps=bw)
-
-
-def full_scan():
-    """Patch the matchmaker's planner to an empty plan: it prunes nothing,
-    so match and gangmatch scan every ad."""
-    return patch.object(mmod, "plan_constraint", lambda *args, **kwargs: IndexPlan())
 
 
 # ----------------------------------------------------------------------
@@ -132,27 +117,6 @@ def test_planner_foreign_scope_goes_residual():
     assert "clock" in gang.intervals
 
 
-def test_contradiction_short_circuits_without_evaluation(monkeypatch):
-    """A contradictory constraint must yield zero candidates with no
-    ClassAd evaluation at all."""
-    plat = make_platform(4)
-    ads = machine_ads(plat, range(plat.n_hosts))
-    mm = Matchmaker(list(ads))
-    mm._host_index()  # build before evaluation is forbidden
-
-    def boom(*a, **k):  # pragma: no cover - must never run
-        raise AssertionError("evaluate() called on a contradictory plan")
-
-    import repro.selection.index as imod
-
-    monkeypatch.setattr(mmod, "evaluate", boom)
-    monkeypatch.setattr(imod, "evaluate", boom)
-    req = parse_classad(
-        "[ Requirements = TARGET.Clock >= 3000 && TARGET.Clock <= 2000; Rank = 0 ]"
-    )
-    assert mm.match(req) == []
-
-
 # ----------------------------------------------------------------------
 # HostIndex unit tests
 # ----------------------------------------------------------------------
@@ -221,84 +185,16 @@ def test_host_index_ignores_non_indexable_literals():
 
 
 # ----------------------------------------------------------------------
-# Differential equivalence: indexed vs naive
+# SWORD: vectorized penalty table against a per-cluster oracle
 # ----------------------------------------------------------------------
-def _match_key(matches):
-    return [(id(m.machine), m.rank) for m in matches]
-
-
-EDGE_REQUESTS = [
-    # The generator's shape: range + equality + rank.
-    '[ Requirements = TARGET.Clock >= 2500 && TARGET.OpSys == "LINUX"'
-    " && TARGET.Memory >= 1000; Rank = TARGET.Clock ]",
-    # Boundary equality on both ends.
-    "[ Requirements = TARGET.Clock >= 2000 && TARGET.Clock <= 2000; Rank = 0 ]",
-    # Contradiction: must match nothing on both paths.
-    "[ Requirements = TARGET.Clock > 3000 && TARGET.Clock < 2000; Rank = 0 ]",
-    # Numeric truthiness inside a chain vs strict top level.
-    "[ Requirements = TARGET.Clock >= 2000 && 5; Rank = 0 ]",
-    "[ Requirements = 5; Rank = 0 ]",
-    # UNDEFINED reference and ERROR-typed comparison.
-    "[ Requirements = TARGET.NoSuchAttr >= 10; Rank = 0 ]",
-    '[ Requirements = TARGET.Clock >= "fast"; Rank = 0 ]',
-    # Mixed-case string equality (evaluator compares case-insensitively).
-    '[ Requirements = TARGET.OpSys == "linux"; Rank = TARGET.Memory ]',
-    # Request-ad shadowing: unscoped Clock is the request's own.
-    "[ Clock = 9999; Requirements = Clock >= 3000 && TARGET.Memory >= 512; Rank = 0 ]",
-    # Disjunction: not indexable, must fall back cleanly.
-    '[ Requirements = TARGET.Clock >= 3000 || TARGET.OpSys == "SOLARIS"; Rank = 0 ]',
-    # No Requirements at all.
-    "[ Rank = TARGET.Clock ]",
-]
-
-
-@pytest.mark.parametrize("text", EDGE_REQUESTS)
-def test_match_indexed_equals_naive(text):
-    plat = make_platform(15, seed=2)
-    ads = machine_ads(plat, range(plat.n_hosts))
-    req = parse_classad(text)
-    with full_scan():
-        naive = Matchmaker(list(ads)).match(req)
-    assert _match_key(Matchmaker(list(ads)).match(req)) == _match_key(naive)
-
-
-def test_gangmatch_indexed_equals_naive():
-    plat = make_platform(15, seed=3)
-    ads = machine_ads(plat, range(plat.n_hosts))
-    spec = ResourceSpecification(
-        heuristic="mcp",
-        size=6,
-        min_size=4,
-        clock_min_mhz=2000.0,
-        clock_max_mhz=4000.0,
-        connectivity="loose",
-        threshold=0.001,
-        dag_name="montage",
-    )
-    request = parse_classad(spec.to_classad())
-    with full_scan():
-        naive = Matchmaker(list(ads)).gangmatch(request)
-    gang = Matchmaker(list(ads)).gangmatch(request)
-    assert naive is not None and gang is not None
-    assert [id(m) for m in gang.machines] == [id(m) for m in naive.machines]
-    assert gang.ranks == naive.ranks
-
-
-def test_match_after_advertise_uses_fresh_index():
-    plat = make_platform(5)
-    ads = machine_ads(plat, range(plat.n_hosts))
-    req = parse_classad("[ Requirements = TARGET.Clock >= 0; Rank = 0 ]")
-    mm = Matchmaker(list(ads[:-1]))
-    before = len(mm.match(req))
-    mm.advertise(ads[-1])
-    assert len(mm.match(req)) == before + 1
-
-
 def _cluster_penalty(platform: Platform, group, cid: int) -> float | None:
     """Per-host penalty of cluster ``cid`` for ``group``, one cluster at a
     time; None when infeasible.  The oracle for
     ``SwordEngine._group_penalty_table``."""
-    values, cats = cluster_attributes(platform, cid)
+    attrs = platform.cluster_attributes(cid)
+    values = {tag: float(attrs[name]) for tag, name in NUMERIC_NAMES.items()}
+    values["num_cpus"] = 1.0
+    cats = {tag: attrs[name] for tag, name in CATEGORICAL_NAMES.items()}
     penalty = 0.0
     for req in group.numeric:
         v = np.array([values[req.attr]])
@@ -314,9 +210,9 @@ def _cluster_penalty(platform: Platform, group, cid: int) -> float | None:
 
 
 def _assert_penalty_table_matches_oracle(platform: Platform, xml: str) -> None:
-    engine = SwordEngine(platform)
+    engine, table = SwordEngine(platform), cluster_table(platform)
     for group in parse_sword_query(xml).groups:
-        feasible, penalty = engine._group_penalty_table(group)
+        feasible, penalty = engine._group_penalty_table(group, table)
         for cid in range(platform.n_clusters):
             expected = _cluster_penalty(platform, group, cid)
             assert bool(feasible[cid]) == (expected is not None)
@@ -386,47 +282,6 @@ _spec_strategy = st.builds(
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(seed=st.integers(min_value=0, max_value=10_000), spec=_spec_strategy)
-def test_property_indexed_equals_naive_classad_and_sword(seed, spec):
+def test_property_sword_penalty_table_equals_oracle(seed, spec):
     plat = make_platform(n_clusters=8, hosts_per_cluster=4, seed=seed)
-
-    # ClassAd gangmatch: index against full scan.
-    ads = machine_ads(plat, range(plat.n_hosts))
-    request = parse_classad(spec.to_classad())
-    with full_scan():
-        g_scan = Matchmaker(list(ads)).gangmatch(request)
-    g_index = Matchmaker(list(ads)).gangmatch(request)
-    assert (g_index is None) == (g_scan is None)
-    if g_index is not None:
-        assert [id(m) for m in g_index.machines] == [id(m) for m in g_scan.machines]
-
-    # SWORD: vectorized penalty table against the per-cluster oracle.
     _assert_penalty_table_matches_oracle(plat, spec.to_sword_xml())
-
-
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(seed=st.integers(min_value=0, max_value=1000))
-def test_property_match_equal_on_churned_platform(seed):
-    """Indexed vs naive bilateral match over the *free* subset of a churned
-    platform — unavailable hosts excluded from the advertised population."""
-    plat = make_platform(n_clusters=8, hosts_per_cluster=4, seed=seed)
-    churn = ResourceChurn.from_config(
-        plat,
-        ChurnConfig(fail_rate=0.05, competitor_rate=0.05, utilization=0.2,
-                    seed=seed),
-        Binder(plat),
-    )
-    churn.advance(200.0)
-    banned = churn.unavailable() | churn.binder.bound_hosts
-    free = [h for h in range(plat.n_hosts) if h not in banned]
-    ads = machine_ads(plat, free)
-    req = parse_classad(
-        '[ Requirements = TARGET.Clock >= 2000 && TARGET.OpSys == "LINUX";'
-        " Rank = TARGET.Clock ]"
-    )
-    with full_scan():
-        naive = Matchmaker(list(ads)).match(req)
-    assert _match_key(Matchmaker(list(ads)).match(req)) == _match_key(naive)

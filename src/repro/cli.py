@@ -136,15 +136,14 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     print(f"predicted RC size: {size}")
     print(f"predicted heuristic: {heuristic}")
     if args.specs:
-        from repro.core.generator import ResourceSpecification
+        from repro.core.generator import request_specification
 
-        spec = ResourceSpecification(
-            heuristic=heuristic,
-            size=size,
-            min_size=max(1, int(round(0.9 * size))),
-            clock_min_mhz=args.clock_ghz * 1000 * (1 - args.heterogeneity_tolerance),
-            clock_max_mhz=args.clock_ghz * 1000,
-            connectivity="loose" if args.ccr < 0.05 else "tight",
+        spec = request_specification(
+            heuristic,
+            size,
+            clock_ghz=args.clock_ghz,
+            heterogeneity_tolerance=args.heterogeneity_tolerance,
+            ccr=args.ccr,
             threshold=args.threshold,
             dag_name="cli",
         )

@@ -111,13 +111,12 @@ def alternative_specifications(
     if platform is not None:
         max_size = max(1, min(max_size, platform.n_hosts))
     orig_clock = spec.clock_max_mhz / 1000.0
-    # Reference turn-around of the original specification.
+    # Reference turn-around of the original specification: one schedule
+    # on an RC of ``spec.size`` hosts of the original clock.
     orig_speed = orig_clock / REFERENCE_CLOCK_GHZ
-    factory = PrefixRCFactory(max(spec.size, 1), mean_speed=orig_speed)
-    orig_curve = sweep_turnaround(
-        dag, rc_size_grid(max(spec.size, 1), step_frac=0.3), spec.heuristic, factory, cost_model
-    )
-    target = orig_curve.at_size(spec.size) * (1.0 + slack)
+    factory = PrefixRCFactory(spec.size, mean_speed=orig_speed)
+    orig = sweep_turnaround(dag, [spec.size], spec.heuristic, factory, cost_model)
+    target = orig.at_size(spec.size) * (1.0 + slack)
 
     bands = sorted(set(available_clocks_ghz), reverse=True)
     degraded = [c for c in bands if c <= orig_clock + 1e-9]

@@ -36,6 +36,7 @@ from repro.resources.collection import REFERENCE_CLOCK_GHZ
 __all__ = [
     "ResourceSpecification",
     "ResourceSpecificationGenerator",
+    "request_specification",
     "sanitize_dag_name",
     "TARGET_OS",
     "SWORD_LATENCY_TUPLES",
@@ -45,6 +46,9 @@ __all__ = [
 #: (Ch. IV: the naïve abstraction only works "when communication costs are
 #: minimal").
 LOOSE_CCR_THRESHOLD = 0.05
+
+#: Fewest hosts a request accepts, as a fraction of its RC size.
+MIN_SIZE_FRACTION = 0.9
 
 #: The operating system every rendering constrains the hosts to.  Shared
 #: by the ClassAd and SWORD renderers and by the SPEC140 cross-language
@@ -268,6 +272,40 @@ class ResourceSpecification:
         )
 
 
+def request_specification(
+    heuristic: str,
+    size: int,
+    *,
+    clock_ghz: float,
+    heterogeneity_tolerance: float,
+    ccr: float,
+    threshold: float,
+    dag_name: str,
+    dag_characteristics: DagCharacteristics | None = None,
+) -> ResourceSpecification:
+    """The request for ``size`` hosts of the ``clock_ghz`` band: the one
+    rule the generator, the service's request files and ``repro predict``
+    share.
+
+    It accepts :data:`MIN_SIZE_FRACTION` of ``size`` hosts (rounded, at
+    least one) clocked from ``clock_ghz * (1 - heterogeneity_tolerance)``
+    up to ``clock_ghz``, loosely connected when ``ccr`` is below
+    :data:`LOOSE_CCR_THRESHOLD`.
+    """
+    clock_max = clock_ghz * 1000.0
+    return ResourceSpecification(
+        heuristic=heuristic,
+        size=size,
+        min_size=max(1, int(round(MIN_SIZE_FRACTION * size))),
+        clock_min_mhz=clock_max * (1.0 - heterogeneity_tolerance),
+        clock_max_mhz=clock_max,
+        connectivity="loose" if ccr < LOOSE_CCR_THRESHOLD else "tight",
+        threshold=threshold,
+        dag_name=dag_name,
+        dag_characteristics=dag_characteristics,
+    )
+
+
 @dataclass
 class ResourceSpecificationGenerator:
     """DAG → resource specification (Fig. VII-1).
@@ -289,7 +327,6 @@ class ResourceSpecificationGenerator:
     heuristic_model: HeuristicPredictionModel | None = None
     target_clock_ghz: float = 3.0
     heterogeneity_tolerance: float = 0.3
-    min_size_fraction: float = 0.9
     #: Lint every generated spec in all three output languages; an
     #: error-level finding is a generator bug and raises
     #: :class:`~repro.analysis.spec.SpecificationLintError`.
@@ -322,16 +359,12 @@ class ResourceSpecificationGenerator:
             else self.size_model.heuristic
         )
 
-        clock_max = self.target_clock_ghz * 1000.0
-        clock_min = clock_max * (1.0 - self.heterogeneity_tolerance)
-        connectivity = "loose" if ch.ccr < LOOSE_CCR_THRESHOLD else "tight"
-        spec = ResourceSpecification(
-            heuristic=heuristic,
-            size=size,
-            min_size=max(1, int(round(self.min_size_fraction * size))),
-            clock_min_mhz=clock_min,
-            clock_max_mhz=clock_max,
-            connectivity=connectivity,
+        spec = request_specification(
+            heuristic,
+            size,
+            clock_ghz=self.target_clock_ghz,
+            heterogeneity_tolerance=self.heterogeneity_tolerance,
+            ccr=ch.ccr,
             threshold=threshold,
             dag_name=sanitize_dag_name(dag.name),
             dag_characteristics=ch,

@@ -49,7 +49,6 @@ def generate_montage_specs(
     scale: Scale,
     ccr: float = 0.01,
     seed: int = 0,
-    max_classad_machines: int = 400,
 ) -> dict[str, object]:
     """Generate all three specifications for Montage and run each against
     its engine on the scale's idle universe (Figs. VII-3/4/5).
@@ -65,9 +64,7 @@ def generate_montage_specs(
     platform = build_universe(scale, seed)
 
     def n_selected(backend: str) -> int:
-        hosts, _ = select_once(
-            platform, backend, spec, set(), max_classad_machines=max_classad_machines
-        )
+        hosts, _ = select_once(platform, backend, spec, set())
         return 0 if hosts is None else int(hosts.size)
 
     return {

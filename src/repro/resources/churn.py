@@ -199,8 +199,8 @@ class ResourceChurn:
     ``fail`` moves hosts into :attr:`dead` (releasing any binding, ours or
     a competitor's — the local resource manager is gone), ``join`` revives
     them, ``bind``/``release`` move *free* hosts in and out of the shared
-    binder on behalf of competitors.  Selection engines should treat
-    :meth:`unavailable` ∪ ``binder.bound_hosts`` as invisible.
+    binder on behalf of competitors.  :meth:`unavailable` is the whole
+    banned set every selection and rebind reads.
     """
 
     platform: Platform
@@ -225,9 +225,9 @@ class ResourceChurn:
 
     # ------------------------------------------------------------------
     def unavailable(self) -> set[int]:
-        """Hosts no selection may return: dead or busy under background
-        load.  (Bound hosts are visible via ``binder.bound_hosts``.)"""
-        return self.dead | set(self.trace.busy_hosts)
+        """Hosts no selection may return: dead, busy under background load,
+        or bound in the shared binder (by us or a competitor)."""
+        return self.dead | self.trace.busy_hosts | self.binder.bound_hosts
 
     def advance(self, to_time: float) -> list[ChurnEvent]:
         """Apply every event with ``time <= to_time``; return them."""

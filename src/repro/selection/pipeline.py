@@ -71,8 +71,8 @@ from repro.analysis.preflight import preflight_specification
 from repro.core.alternatives import alternative_specifications
 from repro.core.generator import ResourceSpecification
 from repro.dag.graph import DAG
-from repro.resources.binding import Binder, BindingError
-from repro.resources.churn import ChurnConfig, ResourceChurn
+from repro.resources.binding import BindingError
+from repro.resources.churn import ResourceChurn
 from repro.resources.platform import Platform
 from repro.scheduling.base import schedule_dag
 from repro.selection.classad import Matchmaker, parse_classad
@@ -98,11 +98,22 @@ __all__ = [
     "miss_latency",
     "select_once",
     "backoff_jitter",
+    "baseline_turnaround",
 ]
 
 #: Backend ladder order: the paper's native system first, then the two
 #: foreign specification languages Chapter VII also generates.
 BACKENDS = ("vges", "classad", "sword")
+
+#: Base backoff in virtual seconds; retry ``k`` of a rung waits
+#: ``BACKOFF_S * 2**(k - 1)`` scaled by a digest-derived jitter in [0.5, 1.5).
+BACKOFF_S = 5.0
+
+#: Matchmaking is per-machine, so ClassAd advertises every
+#: ``max(1, free // MAX_CLASSAD_MACHINES)``-th free host: between
+#: ``MAX_CLASSAD_MACHINES`` and ``2 * MAX_CLASSAD_MACHINES - 1`` ads once at
+#: least that many hosts are free, every free host otherwise.
+MAX_CLASSAD_MACHINES = 400
 
 
 class PipelineError(RuntimeError):
@@ -115,18 +126,11 @@ class PipelineConfig:
 
     #: Alternative specifications tried per backend after the original.
     max_respecs: int = 3
-    #: Extra attempts per (backend, spec) rung after the first refusal.
+    #: Extra attempts per (backend, spec) rung after the first refusal
+    #: (retry ``k`` first backs off, see :data:`BACKOFF_S`).
     max_retries: int = 1
-    #: Base backoff in virtual seconds; attempt ``k`` waits
-    #: ``backoff_s * 2**k`` scaled by a digest-derived jitter in [0.5, 1.5).
-    backoff_s: float = 5.0
     #: Backend ladder, tried left to right.
     backends: tuple[str, ...] = BACKENDS
-    #: Matchmaking is per-machine, so ClassAd advertises every
-    #: ``max(1, free // max_classad_machines)``-th free host: between
-    #: ``max_classad_machines`` and ``2 * max_classad_machines - 1`` ads
-    #: once at least that many hosts are free, every free host otherwise.
-    max_classad_machines: int = 400
     #: Seed for the backoff jitter (independent of the churn seed).
     seed: int = 0
     #: Virtual-time budget for the whole ladder.  When the churn clock
@@ -138,8 +142,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.max_respecs < 0 or self.max_retries < 0:
             raise ValueError("ladder depths must be non-negative")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be non-negative")
         if self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         if not self.backends:
@@ -186,7 +188,7 @@ class SelectionOutcome:
     run increments, so an outcome can be cross-checked against a metrics
     snapshot.  ``penalty`` is the relative turnaround cost versus the
     undisturbed (churn-free, empty-platform) run of the original
-    specification: ``turnaround / baseline - 1``.
+    specification (:func:`baseline_turnaround`): ``turnaround / baseline - 1``.
     """
 
     fulfilled: bool
@@ -260,26 +262,23 @@ def backoff_jitter(seed: int, backend: str, spec_index: int, attempt: int) -> fl
     return 0.5 + int.from_bytes(digest[:8], "big") / 2**64
 
 
-def _advertised(free, max_machines: int):
-    """The free hosts ClassAd advertises: matchmaking is per-machine, so a
-    large universe is strided to ``max_machines`` to ``2 * max_machines - 1``
-    ads (see :attr:`PipelineConfig.max_classad_machines`)."""
-    return free[:: max(1, len(free) // max_machines)]
+def _advertised(free):
+    """The free hosts ClassAd advertises: every
+    ``max(1, len(free) // MAX_CLASSAD_MACHINES)``-th one."""
+    return free[:: max(1, len(free) // MAX_CLASSAD_MACHINES)]
 
 
-def miss_latency(
-    platform: Platform, backend: str, n_free: int, max_classad_machines: int = 400
-) -> float:
+def miss_latency(platform: Platform, backend: str, n_free: int) -> float:
     """Virtual latency of a selection that returns no hosts.
 
     vgES and SWORD charge one pass over the cluster table; ClassAd charges
     per advertised ad — the ``n_free`` free hosts (read only for ClassAd),
     strided as :func:`select_once` advertises them.  :func:`select_once`
-    charges these on a miss, and the service's free-host short-circuit
-    charges them without building an engine.
+    charges these on a miss; the service charges them, without an engine,
+    for an injected backend error.
     """
     if backend == "classad":
-        return max(1, len(_advertised(range(n_free), max_classad_machines))) * 1e-5
+        return max(1, len(_advertised(range(n_free)))) * 1e-5
     return platform.n_clusters * 1e-5
 
 
@@ -289,14 +288,15 @@ def select_once(
     spec: ResourceSpecification,
     unavailable: set[int],
     *,
-    max_classad_machines: int = 400,
     deadline_remaining_s: float | None = None,
 ) -> tuple[np.ndarray | None, float]:
     """Run one selection backend; returns ``(host ids | None, latency)``.
 
-    The single-request core shared by :class:`SelectionPipeline` and the
-    multi-tenant service (:mod:`repro.service`).  ``unavailable`` is the
-    full banned set — dead, busy *and* bound hosts.
+    The single-request core shared by :class:`SelectionPipeline`, the
+    multi-tenant service (:mod:`repro.service`) and
+    :func:`baseline_turnaround`.  ``unavailable`` is the full banned set —
+    dead, busy *and* bound hosts, as
+    :meth:`~repro.resources.churn.ResourceChurn.unavailable` returns it.
 
     ``deadline_remaining_s`` is the caller's remaining virtual-time
     budget: when it is exhausted (``<= 0``) the backend is not consulted
@@ -322,8 +322,8 @@ def select_once(
         return result.all_hosts(), latency
     # classad: advertise the free hosts and gangmatch the request.
     free = np.flatnonzero(platform.free_mask(unavailable))
-    ads = machine_ads(platform, _advertised(free, max_classad_machines))
-    latency = miss_latency(platform, backend, len(free), max_classad_machines)
+    ads = machine_ads(platform, _advertised(free))
+    latency = miss_latency(platform, backend, len(free))
     mm = Matchmaker(ads)
     if spec.size > len(ads):
         return None, latency
@@ -344,6 +344,30 @@ def fastest_free(platform: Platform, unavailable: set[int], need: int) -> list[i
     free = np.flatnonzero(platform.free_mask(unavailable))
     order = np.argsort(-platform.host_clock[free], kind="stable")
     return free[order][:need].tolist()
+
+
+def baseline_turnaround(
+    platform: Platform, config: PipelineConfig, dag: DAG, spec: ResourceSpecification
+) -> float | None:
+    """Turnaround of the undisturbed run of ``spec``: no churn, no
+    background load, nothing bound.
+
+    The first backend of ``config.backends`` whose :func:`select_once` on
+    the empty platform returns at least ``min_size`` hosts selects; the
+    turnaround is that selection's latency plus the makespan of ``dag`` on
+    those hosts (``None`` when no backend can).  Runs under a throwaway
+    metrics registry, so it moves no counter of the caller's run.
+    """
+    with observe.use_registry(observe.MetricsRegistry()):
+        for backend in config.backends:
+            hosts, latency = select_once(platform, backend, spec, set())
+            if hosts is None or hosts.size < spec.min_size:
+                continue
+            rc = platform.rc_from_hosts(
+                np.asarray(sorted(int(h) for h in hosts), dtype=np.int64)
+            )
+            return latency + schedule_dag(spec.heuristic, dag, rc).makespan
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -472,7 +496,7 @@ async def climb(
     async def try_rung(backend: str, s_idx: int, spec: ResourceSpecification) -> str:
         for k in range(config.max_retries + 1):
             if k > 0:
-                delay = config.backoff_s * 2 ** (k - 1)
+                delay = BACKOFF_S * 2 ** (k - 1)
                 await io.sleep(
                     delay * backoff_jitter(config.seed, backend + jitter_tag, s_idx, k)
                 )
@@ -621,9 +645,9 @@ class _ChurnPort:
     """The pipeline's port: every call acts at once on the run's own churn
     and binder, so a coroutine driven over it never suspends."""
 
-    def __init__(self, pipeline: "SelectionPipeline") -> None:
-        self._pipeline = pipeline
-        self.churn = pipeline.churn
+    def __init__(self, platform: Platform, churn: ResourceChurn) -> None:
+        self._platform = platform
+        self.churn = churn
 
     @property
     def now(self) -> float:
@@ -636,7 +660,11 @@ class _ChurnPort:
         self.churn.advance(time)
 
     async def select(self, backend, spec, s_idx, attempt, deadline_remaining_s):
-        return (*self._pipeline._select(backend, spec, deadline_remaining_s), None)
+        hosts, latency = select_once(
+            self._platform, backend, spec, self.churn.unavailable(),
+            deadline_remaining_s=deadline_remaining_s,
+        )
+        return hosts, latency, None
 
     async def bind(self, hosts, s_idx, attempt) -> str | None:
         try:
@@ -646,11 +674,9 @@ class _ChurnPort:
         return None
 
     async def rebind(self, need: int) -> list[int]:
-        churn = self.churn
-        unavailable = churn.unavailable() | churn.binder.bound_hosts
-        replacements = fastest_free(self._pipeline.platform, unavailable, need)
+        replacements = fastest_free(self._platform, self.churn.unavailable(), need)
         if replacements:
-            churn.binder.bind(np.asarray(sorted(replacements), dtype=np.int64))
+            self.churn.binder.bind(np.asarray(sorted(replacements), dtype=np.int64))
         return replacements
 
 
@@ -686,21 +712,6 @@ class SelectionPipeline:
         default_factory=dict, init=False, repr=False
     )
 
-    def _select(
-        self, backend: str, spec: ResourceSpecification,
-        deadline_remaining_s: float | None = None,
-    ) -> tuple[np.ndarray | None, float]:
-        """Run one backend; returns (host ids | None, selection latency)."""
-        unavailable = self.churn.unavailable() | self.churn.binder.bound_hosts
-        return select_once(
-            self.platform,
-            backend,
-            spec,
-            unavailable,
-            max_classad_machines=self.config.max_classad_machines,
-            deadline_remaining_s=deadline_remaining_s,
-        )
-
     def run(self, dag: DAG, spec: ResourceSpecification) -> SelectionOutcome:
         """Select, bind and execute ``dag`` under churn; never raises on
         fulfillment failure (returns an unfulfilled outcome instead)."""
@@ -715,10 +726,11 @@ class SelectionPipeline:
             return self.alternatives[: cfg.max_respecs]
 
         churn.advance(churn.now)  # apply any events pending at t = now
+        port = _ChurnPort(self.platform, churn)
         with observe.span("pipeline.run"):
             walk = _run_now(
                 climb(
-                    _ChurnPort(self),
+                    port,
                     cfg,
                     functools.partial(ladder_rungs, spec, alternatives, self._preflight),
                     jitter_tag="",
@@ -727,12 +739,17 @@ class SelectionPipeline:
             )
             if walk.bound is None:
                 return walk.outcome()
-            execution = self._execute(dag, walk.spec, walk.bound)
+            # The pipeline's deadline bounds the ladder only, not execution.
+            execution = _run_now(
+                execute(port, self.platform, dag, walk.spec, walk.bound, deadline_at=math.inf)
+            )
+            if execution.abort_reason is not None:
+                raise PipelineError("every bound host failed and no replacement is free")
             turnaround = churn.now
         return walk.outcome(
             execution,
             turnaround_s=turnaround,
-            baseline_turnaround_s=self._baseline_turnaround(dag, spec),
+            baseline_turnaround_s=baseline_turnaround(self.platform, cfg, dag, spec),
         )
 
     def _preflight(self, spec: ResourceSpecification) -> bool:
@@ -743,35 +760,3 @@ class SelectionPipeline:
             ok = preflight_specification(spec, self.platform).satisfiable
             self._preflight_ok[key] = ok
         return ok
-
-    def _execute(
-        self, dag: DAG, spec: ResourceSpecification, bound: np.ndarray
-    ) -> Execution:
-        """:func:`execute` over this run's churn, with no deadline; every
-        host failing with no free replacement raises :class:`PipelineError`."""
-        done = _run_now(
-            execute(_ChurnPort(self), self.platform, dag, spec, bound, deadline_at=math.inf)
-        )
-        if done.abort_reason is not None:
-            raise PipelineError("every bound host failed and no replacement is free")
-        return done
-
-    def _baseline_turnaround(self, dag: DAG, spec: ResourceSpecification) -> float | None:
-        """Turnaround of the undisturbed run: same platform, no churn, no
-        background load, an empty binder."""
-        quiet = ResourceChurn.from_config(self.platform, ChurnConfig(), Binder(self.platform))
-        baseline = SelectionPipeline(self.platform, quiet, self.config)
-        with observe.use_registry(observe.MetricsRegistry()):
-            return baseline._run_undisturbed(dag, spec)
-
-    def _run_undisturbed(self, dag: DAG, spec: ResourceSpecification) -> float | None:
-        """The churn-free reference run (selection latency + makespan)."""
-        for backend in self.config.backends:
-            hosts, latency = self._select(backend, spec)
-            if hosts is None or hosts.size < spec.min_size:
-                continue
-            self.churn.advance(self.churn.now + latency)
-            self.churn.binder.bind(hosts)
-            self._execute(dag, spec, hosts)
-            return self.churn.now
-        return None

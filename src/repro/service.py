@@ -44,15 +44,16 @@ equality across schedules.
 
 Amortization
 ------------
-Every select reads availability from ground truth — the churn's
-unavailable hosts plus the binder's bound ones — and nothing else.  That
-one set answers a conservative short-circuit that refuses a selection
-without engine construction when fewer free hosts than the spec's
-``min_size`` lie in its clock band, and the miss latency of a refused
-query.  Respecification ladders, static preflights and baseline
-turnarounds are cached and shared across tenants; same-instant
-operations are dispatched as one batch.  Selection engines are not
-cached: every select builds its engine over the current banned set.
+Every select reads availability from ground truth —
+:meth:`~repro.resources.churn.ResourceChurn.unavailable`, the dead, busy
+and bound hosts — and nothing else, and every select that passes the
+breakers and fault injection is answered by
+:func:`~repro.selection.pipeline.select_once`, the engines' own refusal
+rule.  Respecification ladders, static preflights and baseline
+turnarounds (:func:`~repro.selection.pipeline.baseline_turnaround`) are
+cached and shared across tenants; same-instant operations are dispatched
+as one batch.  Selection engines are not cached: every select builds its
+engine over the current banned set.
 
 Resilience
 ----------
@@ -66,10 +67,10 @@ Four layers keep the service degrading gracefully instead of failing:
 * **Circuit breakers** — one per backend, tripping open after K
   consecutive injected failures, routing the ladder around the open
   backend (a ``breaker_open`` refusal ends that backend's rungs) and
-  half-opening on a deterministic virtual-time cooldown.  Breakers,
-  injected backend faults, the free-host short-circuit and brownout all
-  live in the dispatcher's ``select`` operation; injected bind stalls
-  live in the port's ``bind``.  The ladder only sees refusal reasons.
+  half-opening on a deterministic virtual-time cooldown.  Breakers and
+  injected backend faults live in the dispatcher's ``select``
+  operation, brownout in the shared caches, and injected bind stalls in
+  the port's ``bind``.  The ladder only sees refusal reasons.
 * **Failure isolation** — tenant coroutines run under a supervisor (and
   a kernel backstop) that converts any exception into a structured
   aborted outcome and releases the dead tenant's slot and hosts; no
@@ -84,7 +85,7 @@ Accounting
 ----------
 Fairness and starvation are observable through ``service.*`` counters
 (admissions, refusals, bind_conflicts, completions, batches,
-batched_ops, index_shortcircuits, preflight_hits,
+batched_ops, ladder_shared_hits, preflight_hits, baseline_shared_hits,
 churn_events, execution_aborts, deadline_aborts — ladder and execution
 aborts together) and gauges (queue-wait p50/p99 per tenant and overall,
 batch size mean/max).  Each per-tenant
@@ -110,7 +111,7 @@ import numpy as np
 
 from repro import observe
 from repro.analysis.preflight import preflight_specification
-from repro.core.generator import ResourceSpecification
+from repro.core.generator import ResourceSpecification, request_specification
 from repro.dag.graph import DAG
 from repro.dag.montage import montage_dag, montage_level_counts
 from repro.faults import KILL_EXIT_CODE, InjectedFault, ServiceFaultInjector
@@ -122,7 +123,7 @@ from repro.selection.pipeline import (
     Climb,
     PipelineConfig,
     SelectionOutcome,
-    SelectionPipeline,
+    baseline_turnaround,
     climb,
     execute,
     fastest_free,
@@ -653,9 +654,6 @@ class SelectionService:
                 ),
                 binder=self._binder,
             )
-        # Engines compare ``Clock`` in MHz against a rendered floor; keep a
-        # dedicated MHz column for the short-circuit band test.
-        self._clock_mhz = self.platform.host_clock * 1000.0
         self._ladder_cache: dict = {}
         self._preflight_cache: dict = {}
         self._baseline_cache: dict = {}
@@ -918,43 +916,28 @@ class SelectionService:
                 observe.inc("service.breaker_skips")
                 op.future.resolve((None, 0.0, "breaker_open"))
                 return
-        unavailable = self._churn.unavailable() | self._binder.bound_hosts
-        free = self.platform.free_mask(unavailable)
+        unavailable = self._churn.unavailable()
         if self.faults is not None:
             fault = self.faults.backend_fault(
                 backend, op.tenant, op.rid, s_idx, attempt, now
             )
             if fault is not None:
-                latency = (
-                    self.faults.hang_s
-                    if fault == "hang"
-                    else self._miss_latency(backend, free)
-                )
+                if fault == "hang":
+                    latency = self.faults.hang_s
+                else:
+                    # An errored backend answers nothing, yet the query
+                    # costs what a miss over the current free hosts does.
+                    n_free = int(np.count_nonzero(self.platform.free_mask(unavailable)))
+                    latency = miss_latency(self.platform, backend, n_free)
                 observe.inc(f"service.backend_{fault}s")
                 self._breaker_failure(backend)
                 op.future.resolve((None, latency, f"backend_{fault}"))
                 return
-        band = self._clock_mhz >= spec.clock_min_mhz - 0.5
-        if np.count_nonzero(free & band) < spec.min_size:
-            # No backend can produce min_size hosts in the clock band —
-            # all three treat the lower clock bound as hard — so skip
-            # engine construction and reproduce the exact miss latency.
-            # vgDL and ClassAd render the floor rounded to whole MHz, so
-            # the band starts half a MHz below the spec's floor: no
-            # rendering asks for less, and a select this lets through is
-            # refused by its engine with the same miss latency.
-            observe.inc("service.index_shortcircuits")
-            op.future.resolve((None, self._miss_latency(backend, free), None))
-            return
-        cfg = self.config.pipeline
         hosts, latency = select_once(
-            self.platform,
-            backend,
-            spec,
-            unavailable,
-            max_classad_machines=cfg.max_classad_machines,
-            deadline_remaining_s=remaining,
+            self.platform, backend, spec, unavailable, deadline_remaining_s=remaining
         )
+        # The engine answered — a match or a legitimate miss — so the
+        # backend is healthy.
         self._breaker_success(backend)
         op.future.resolve((hosts, latency, None))
 
@@ -979,17 +962,6 @@ class SelectionService:
             breaker["state"] = "closed"
         breaker["fails"] = 0
 
-    def _miss_latency(self, backend: str, free: np.ndarray) -> float:
-        """Latency of a refused query, without the engine: the shared
-        :func:`~repro.selection.pipeline.miss_latency` rule over the
-        ``free`` hosts (a :meth:`~repro.resources.platform.Platform.free_mask`)."""
-        return miss_latency(
-            self.platform,
-            backend,
-            int(np.count_nonzero(free)),
-            self.config.pipeline.max_classad_machines,
-        )
-
     def _op_bind(self, op: _Op) -> None:
         hosts = np.asarray(op.payload)
         conflicts = self._binder.try_bind(hosts)
@@ -1002,8 +974,7 @@ class SelectionService:
         op.future.resolve(conflicts)
 
     def _op_rebind(self, op: _Op) -> None:
-        unavailable = self._churn.unavailable() | self._binder.bound_hosts
-        replacements = fastest_free(self.platform, unavailable, int(op.payload))
+        replacements = fastest_free(self.platform, self._churn.unavailable(), int(op.payload))
         if replacements:
             conflicts = self._binder.try_bind(
                 np.asarray(sorted(replacements), dtype=np.int64)
@@ -1074,9 +1045,9 @@ class SelectionService:
             observe.inc("service.brownout_skips")
             return None
         else:
-            # The baseline runs on a quiet copy; this run's churn is unused.
-            pipe = SelectionPipeline(self.platform, self._churn, self.config.pipeline)
-            self._baseline_cache[key] = pipe._baseline_turnaround(dag, spec)
+            self._baseline_cache[key] = baseline_turnaround(
+                self.platform, self.config.pipeline, dag, spec
+            )
         return self._baseline_cache[key]
 
     # ------------------------------------------------------------------
@@ -1242,15 +1213,14 @@ def make_spec(
     ccr: float = 0.01,
 ) -> ResourceSpecification:
     """A resource specification for ``dag`` without a trained size model
-    (the service's request files name sizes explicitly)."""
-    size = int(max(1, size))
-    return ResourceSpecification(
-        heuristic=heuristic,
-        size=size,
-        min_size=max(1, int(round(0.9 * size))),
-        clock_min_mhz=clock_ghz * 1000.0 * (1.0 - heterogeneity_tolerance),
-        clock_max_mhz=clock_ghz * 1000.0,
-        connectivity="loose" if ccr < 0.05 else "tight",
+    (the service's request files name sizes explicitly).  ``dag.name`` is
+    kept as given, unsanitised."""
+    return request_specification(
+        heuristic,
+        int(max(1, size)),
+        clock_ghz=clock_ghz,
+        heterogeneity_tolerance=heterogeneity_tolerance,
+        ccr=ccr,
         threshold=threshold,
         dag_name=dag.name,
     )

@@ -3,11 +3,12 @@
 
 Both drive the shared :func:`~repro.selection.pipeline.climb` and
 :func:`~repro.selection.pipeline.execute` coroutines, the pipeline over its
-own churn and the service through its dispatcher, free-host short-circuit
-and shared caches.  With ``max_retries=0`` no backoff is drawn, so the jitter
-tag (the one intended difference besides the deadline origin) never
-matters and the outcomes must agree field for field, as must the
-``pipeline.*`` counters each run bumps.
+own churn and the service through its dispatcher and shared caches; both
+answer every select with :func:`~repro.selection.pipeline.select_once`.
+With ``max_retries=0`` no backoff is drawn, so the jitter tag (the one
+intended difference besides the deadline origin) never matters and the
+outcomes must agree field for field, as must the ``pipeline.*`` counters
+each run bumps.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ CHURN_SEEDS = range(6)
 #: Cases of the full grid that climb past rung 0, plus two that bind
 #: there: ``(size, clock, tolerance, utilization, churn seed, spec_index)``.
 #: In the last, the spec's floor (3200.4 MHz) lies just above a cluster
-#: clock that vgDL's rendered floor (``Clock >= 3200``) still admits, so
-#: the service's free-host short-circuit must not refuse rung 0.
+#: clock that vgDL's rendered floor (``Clock >= 3200``) still admits: a
+#: refusal rule that compared host clocks with the unrendered floor would
+#: refuse rung 0 in the service only.
 CLIMBING_SLICE = (
     (4, 3.5, 0.0, 0.9, 0, 2),
     (8, 3.5, 0.0, 0.25, 3, 1),

@@ -13,7 +13,12 @@ from repro.experiments.scales import SMOKE
 from repro.resources.binding import Binder
 from repro.resources.churn import ChurnConfig, ChurnEvent, ChurnTrace, ResourceChurn
 from repro.scheduling.base import schedule_dag
-from repro.selection.pipeline import PipelineConfig, SelectionPipeline, fastest_free
+from repro.selection.pipeline import (
+    PipelineConfig,
+    SelectionPipeline,
+    baseline_turnaround,
+    fastest_free,
+)
 from repro.selection.vgdl import VgES
 
 
@@ -70,6 +75,26 @@ def test_churn_free_run_matches_direct_select_and_schedule(platform, small_monta
     assert outcome.refusals == outcome.respecifications == outcome.backend_fallbacks == 0
     assert outcome.rebinds == 0 and outcome.segments == 1 and outcome.tasks_rescheduled == 0
     assert [a.result for a in outcome.attempts] == ["bound"]
+
+
+@pytest.mark.parametrize(
+    "backends",
+    [("vges", "classad", "sword"), ("classad", "vges", "sword"), ("sword", "vges", "classad")],
+    ids=lambda b: b[0],
+)
+@pytest.mark.parametrize("size", [4, 24])
+def test_quiet_first_attempt_bind_costs_exactly_the_baseline(
+    platform, small_montage, spec, backends, size
+):
+    # On a quiet churn a run that binds at its first attempt is the
+    # undisturbed run itself: same backend, hosts, latency and makespan.
+    request = dataclasses.replace(spec, size=size, min_size=max(1, size - 4))
+    outcome = _clean_run(platform, small_montage, request, backends=backends)
+    assert [(a.backend, a.result) for a in outcome.attempts] == [(backends[0], "bound")]
+    assert outcome.turnaround_s == outcome.baseline_turnaround_s
+    assert outcome.baseline_turnaround_s == baseline_turnaround(
+        platform, PipelineConfig(backends=backends), small_montage, request
+    )
 
 
 def test_same_seed_reruns_are_bit_identical(platform, small_montage, spec):
@@ -156,7 +181,7 @@ def test_retry_backoff_advances_virtual_clock(platform, small_montage, spec):
     )
     churn = _quiet(platform)
     pipeline = SelectionPipeline(
-        platform, churn, PipelineConfig(max_retries=2, backends=("vges",), backoff_s=5.0),
+        platform, churn, PipelineConfig(max_retries=2, backends=("vges",)),
         alternatives=[],
     )
     outcome = pipeline.run(small_montage, impossible)

@@ -332,7 +332,7 @@ def test_shared_caches_amortize_repeat_work(small_platform):
 
 
 # ----------------------------------------------------------------------
-# The shared ladder: laziness, pruning, and the short-circuit's latency
+# The shared ladder: laziness, pruning, and the engines' refusal latency
 # ----------------------------------------------------------------------
 def test_rung_zero_binds_never_price_alternatives(small_platform):
     # Every tenant here binds at rung 0, so no ladder ever climbs and the
@@ -373,38 +373,31 @@ def test_service_subsumption_pruning_skips_dominated_rung(small_platform, monkey
 
 
 @pytest.mark.parametrize("backend", ["vges", "classad", "sword"])
-def test_index_shortcircuit_charges_select_once_latency(small_platform, backend):
-    # min_size 54 at >= 3.2 GHz, a band of 53 hosts: the short-circuit
-    # refuses the selection without building an engine, and must charge
-    # exactly the latency select_once charges for the same miss.  The small ad cap
-    # makes ClassAd stride its advertised hosts (and keeps the spec larger
-    # than the ad set, so select_once never gangmatches).
+def test_service_refusal_charges_select_once_latency(small_platform, backend):
+    # min_size 54 at >= 3.2 GHz, a band of 53 hosts: the engine refuses the
+    # hopeless spec, and the service must charge exactly the latency
+    # select_once charges for the same miss on the same banned set.
     dag = montage_dag(montage_level_counts(3), ccr=0.01)
     spec = make_spec(dag, 60, clock_ghz=3.2, heterogeneity_tolerance=0.0)
     churn = ChurnConfig(utilization=0.3, seed=11)
-    config = PipelineConfig(
-        backends=(backend,), max_retries=0, max_respecs=0, max_classad_machines=40
-    )
-    report, counters = _serve(
+    config = PipelineConfig(backends=(backend,), max_retries=0, max_respecs=0)
+    report, _ = _serve(
         small_platform, [TenantRequest(tenant=0, dag=dag, spec=spec)],
         churn=churn, pipeline=config,
     )
-    assert counters["service.index_shortcircuits"] == 1
     (attempt,) = report.outcomes[0].outcome.attempts
     assert attempt.result == "insufficient" and attempt.n_hosts == 0
     at_arrival = ResourceChurn.from_config(small_platform, churn)
     at_arrival.advance(0.0)
-    expected = select_once(
-        small_platform, backend, spec, at_arrival.unavailable(), max_classad_machines=40
-    )
+    expected = select_once(small_platform, backend, spec, at_arrival.unavailable())
     # Arrival is t = 0, so the refusal lands after exactly the latency.
     assert (None, attempt.time_s) == expected
 
 
 def test_miss_latency_counts_free_hosts_from_ground_truth(monkeypatch):
-    """Every miss latency the service charges without an engine (index
-    short-circuits and injected backend errors) counts the hosts free at
-    that instant, as select_once does — brownout included."""
+    """An injected backend error is the one miss the service charges
+    without an engine; its latency counts the hosts free at that instant,
+    as select_once does — brownout included."""
     from dataclasses import replace
 
     import repro.service as service_mod
@@ -435,10 +428,10 @@ def test_miss_latency_counts_free_hosts_from_ground_truth(monkeypatch):
     real = service_mod.miss_latency
     calls = []
 
-    def checked(plat, backend, n_free, *args):
-        banned = service._churn.unavailable() | service._binder.bound_hosts
+    def checked(plat, backend, n_free):
+        banned = service._churn.unavailable()
         calls.append((service._brownout, backend, n_free, plat.n_hosts - len(banned)))
-        return real(plat, backend, n_free, *args)
+        return real(plat, backend, n_free)
 
     monkeypatch.setattr(service_mod, "miss_latency", checked)
     service.run(requests)

@@ -83,7 +83,7 @@ ADVERTISED = ("Type", *VGES_ADVERTISED, "LoadAvg", "CpuLoad", "KeyboardIdle")
 _PER_HOST = frozenset(name.lower() for name in PER_HOST_ATTRIBUTES)
 
 
-def cluster_ads(platform: "Platform") -> list[tuple[ClassAd, int]]:
+def cluster_ads(platform: "Platform") -> tuple[tuple[ClassAd, int], ...]:
     """Per-cluster advertisement ads and host counts.
 
     Each ad carries every per-cluster name the vgES cluster ads and the
@@ -94,13 +94,21 @@ def cluster_ads(platform: "Platform") -> list[tuple[ClassAd, int]]:
     because no cluster ad can answer them — :func:`_preflight_clauses`
     keeps every cluster for a clause that references one — and so is
     ``ClusterId``, which no engine advertises.
+
+    Built once per platform
+    (:meth:`~repro.resources.platform.Platform.derived`) and shared by
+    every preflight over it; no caller mutates the ads.
     """
+    return platform.derived(_build_cluster_ads)
+
+
+def _build_cluster_ads(platform: "Platform") -> tuple[tuple[ClassAd, int], ...]:
     out: list[tuple[ClassAd, int]] = []
     for cid, spec in enumerate(platform.clusters):
         attrs = platform.cluster_attributes(cid)
         ad = ClassAd.from_values({name: attrs[name] for name in ADVERTISED})
         out.append((ad, int(spec.n_hosts)))
-    return out
+    return tuple(out)
 
 
 def _preflight_clauses(

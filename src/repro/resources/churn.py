@@ -175,7 +175,7 @@ def generate_churn_trace(platform: Platform, config: ChurnConfig) -> ChurnTrace:
     weights = clocks / clocks.sum()
     for t in _poisson_times(config.competitor_rate, config.horizon_s, rng):
         cid = int(rng.choice(platform.n_clusters, p=weights))
-        members = np.flatnonzero(platform.host_cluster == cid)
+        members = platform.cluster_hosts(cid)
         k = min(config.competitor_size, members.size)
         grab = tuple(
             int(h) for h in rng.choice(members, size=k, replace=False)

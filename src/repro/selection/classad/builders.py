@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.resources.platform import Platform
+from repro.resources.platform import PER_HOST_ATTRIBUTES, Platform
 from repro.selection.classad.parser import ClassAd, Literal, parse_expression
 
 __all__ = ["machine_ad", "machine_ads", "job_request_ad"]
 
 #: The host attributes a machine ad advertises, in ad order (values from
-#: :meth:`repro.resources.platform.Platform.host_attributes`).
+#: :meth:`repro.resources.platform.Platform.host_attributes`; the
+#: :data:`~repro.resources.platform.PER_HOST_ATTRIBUTES` among them from
+#: :meth:`~repro.resources.platform.Platform.per_host_attributes`).
 ADVERTISED = (
     "Type",
     "Name",
@@ -38,12 +40,30 @@ ADVERTISED = (
 _DEDICATED = parse_expression("LoadAvg <= 0.5")
 
 
+def _build_templates(platform: Platform) -> tuple[ClassAd, ...]:
+    """One machine ad per cluster, complete but for the per-host names,
+    which hold ``None`` in their ad-order slots until :func:`machine_ad`
+    sets them; built once per platform through
+    :meth:`~repro.resources.platform.Platform.derived`."""
+    templates = []
+    for cid in range(platform.n_clusters):
+        attrs = platform.cluster_attributes(cid)
+        ad = ClassAd.from_values(
+            {name: None if name in PER_HOST_ATTRIBUTES else attrs[name] for name in ADVERTISED}
+        )
+        ad["Requirements"] = _DEDICATED
+        ad["Rank"] = Literal(0)
+        templates.append(ad)
+    return tuple(templates)
+
+
 def machine_ad(platform: Platform, host_id: int) -> ClassAd:
-    """Workstation advertisement (Fig. II-3) for one platform host."""
-    attrs = platform.host_attributes(host_id)
-    ad = ClassAd.from_values({name: attrs[name] for name in ADVERTISED})
-    ad["Requirements"] = _DEDICATED
-    ad["Rank"] = Literal(0)
+    """Workstation advertisement (Fig. II-3) for one platform host: a
+    copy of its cluster's template with the per-host names set."""
+    templates = platform.derived(_build_templates)
+    ad = templates[int(platform.host_cluster[host_id])].copy()
+    for name, value in platform.per_host_attributes(host_id).items():
+        ad[name] = Literal(value)
     return ad
 
 

@@ -12,10 +12,12 @@
   next-ranked candidates.
 
 Both evaluate every advertised ad, in advertisement order, against each
-constraint they scan.  The selection pipeline builds a fresh matchmaker
-per ClassAd select and runs one gangmatch on it, so an index over the
-ads would be built and probed once per select: it costs about one scan
-and cannot pay for itself.
+constraint they scan.  The selection pipeline builds a matchmaker per
+ClassAd select over the hosts free at that moment (each ad a copy of its
+cluster's per-platform template, :func:`~repro.selection.classad.builders
+.machine_ad`) and runs one gangmatch on it.  The advertised set changes
+from select to select, so an index over the ads would be built and probed
+once per select: it costs about one scan and cannot pay for itself.
 
 Gangmatch search
 ----------------
@@ -177,6 +179,86 @@ def _independent(request: ClassAd, ports: list[_Port], machines: list[ClassAd]) 
 
 
 @dataclass
+class _GangSearch:
+    """The state of one :meth:`Matchmaker.gangmatch` search.
+
+    Its steps are methods, not closures over ``gangmatch``'s locals: a
+    recursive closure is a reference cycle, which would keep the
+    matchmaker and its ads alive after the call until the cyclic
+    collector ran.
+    """
+
+    machines: list[ClassAd]
+    request: ClassAd
+    ports: list[_Port]
+    independent: bool
+    used: set[int] = field(default_factory=set)
+    bindings: dict[str, ClassAd] = field(default_factory=dict)
+    ranks: dict[str, float] = field(default_factory=dict)
+    ranked_groups: dict[int, list[tuple[float, int]]] = field(default_factory=dict)
+    #: Groups are contiguous: ``ends[g] - i`` replicas of group ``g``
+    #: remain to bind from port ``i`` on.
+    ends: dict[int, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ends = {group: i + 1 for i, (_, _, group) in enumerate(self.ports)}
+
+    def scan(self, i: int, bound: dict[str, ClassAd], skip: set[int]) -> list[tuple[float, int]]:
+        """Port ``i``'s candidates outside ``skip`` as ``(rank, row)``,
+        best first, with ``bound`` visible through their labels."""
+        label, port_ad, _ = self.ports[i]
+        constraint = _requirements(port_ad)
+        candidates: list[tuple[float, int]] = []
+        for idx, machine in enumerate(self.machines):
+            if idx in skip:
+                continue
+            trial = dict(bound)
+            trial[label] = machine
+            ctx = EvalContext(my=self.request, target=machine, bindings=trial)
+            if constraint is not None and evaluate(constraint, ctx) is not True:
+                continue
+            mreq = _requirements(machine)
+            if mreq is not None:
+                mctx = EvalContext(my=machine, target=self.request, bindings=trial)
+                if evaluate(mreq, mctx) is not True:
+                    continue
+            rank = _rank_value(port_ad.get("Rank"), ctx)
+            candidates.append((rank, idx))
+        candidates.sort(key=lambda t: (-t[0], t[1]))
+        return candidates
+
+    def bind(self, i: int, start: int) -> bool:
+        """Bind ports ``i`` onwards, port ``i`` from position ``start``
+        of its group's ranked list; True on the first success."""
+        if i == len(self.ports):
+            return True
+        label, _, group = self.ports[i]
+        ends, used = self.ends, self.used
+        if self.independent:
+            # Scanned without ``used`` so the list stays valid when an
+            # earlier group backtracks; used rows are skipped below.
+            if group not in self.ranked_groups:
+                self.ranked_groups[group] = self.scan(group, {}, set())
+            ranked, need = self.ranked_groups[group], ends[group] - i
+        else:
+            ranked, start, need = self.scan(i, self.bindings, used), 0, 1
+        free = [p for p in range(start, len(ranked)) if ranked[p][1] not in used]
+        for t, p in enumerate(free):
+            if len(free) - t < need:
+                break
+            rank, idx = ranked[p]
+            used.add(idx)
+            self.bindings[label] = self.machines[idx]
+            self.ranks[label] = rank
+            if self.bind(i + 1, p + 1 if ends[group] > i + 1 else 0):
+                return True
+            used.discard(idx)
+            del self.bindings[label]
+            del self.ranks[label]
+        return False
+
+
+@dataclass
 class Matchmaker:
     """A central clearinghouse holding advertised machine ads.
 
@@ -230,68 +312,11 @@ class Matchmaker:
         ports = self._ports(request)
         if not ports:
             raise MatchError("gangmatch request carries no Ports attribute")
-        independent = _independent(request, ports, self.machines)
-        # Groups are contiguous: ``ends[g] - i`` replicas of group ``g``
-        # remain to bind from port ``i`` on.
-        ends = {group: i + 1 for i, (_, _, group) in enumerate(ports)}
-        used: set[int] = set()
-        bindings: dict[str, ClassAd] = {}
-        ranks: dict[str, float] = {}
-        ranked_groups: dict[int, list[tuple[float, int]]] = {}
-
-        def scan(i: int, bound: dict[str, ClassAd], skip: set[int]) -> list[tuple[float, int]]:
-            """Port ``i``'s candidates outside ``skip`` as ``(rank, row)``,
-            best first, with ``bound`` visible through their labels."""
-            label, port_ad, _ = ports[i]
-            constraint = _requirements(port_ad)
-            candidates: list[tuple[float, int]] = []
-            for idx, machine in enumerate(self.machines):
-                if idx in skip:
-                    continue
-                trial = dict(bound)
-                trial[label] = machine
-                ctx = EvalContext(my=request, target=machine, bindings=trial)
-                if constraint is not None and evaluate(constraint, ctx) is not True:
-                    continue
-                mreq = _requirements(machine)
-                if mreq is not None:
-                    mctx = EvalContext(my=machine, target=request, bindings=trial)
-                    if evaluate(mreq, mctx) is not True:
-                        continue
-                rank = _rank_value(port_ad.get("Rank"), ctx)
-                candidates.append((rank, idx))
-            candidates.sort(key=lambda t: (-t[0], t[1]))
-            return candidates
-
-        def bind(i: int, start: int) -> bool:
-            if i == len(ports):
-                return True
-            label, _, group = ports[i]
-            if independent:
-                # Scanned without ``used`` so the list stays valid when an
-                # earlier group backtracks; used rows are skipped below.
-                if group not in ranked_groups:
-                    ranked_groups[group] = scan(group, {}, set())
-                ranked, need = ranked_groups[group], ends[group] - i
-            else:
-                ranked, start, need = scan(i, bindings, used), 0, 1
-            free = [p for p in range(start, len(ranked)) if ranked[p][1] not in used]
-            for t, p in enumerate(free):
-                if len(free) - t < need:
-                    break
-                rank, idx = ranked[p]
-                used.add(idx)
-                bindings[label] = self.machines[idx]
-                ranks[label] = rank
-                if bind(i + 1, p + 1 if ends[group] > i + 1 else 0):
-                    return True
-                used.discard(idx)
-                del bindings[label]
-                del ranks[label]
-            return False
-
-        if bind(0, 0):
-            return GangMatch(bindings=bindings, ranks=ranks)
+        search = _GangSearch(
+            self.machines, request, ports, _independent(request, ports, self.machines)
+        )
+        if search.bind(0, 0):
+            return GangMatch(bindings=search.bindings, ranks=search.ranks)
         return None
 
     @staticmethod

@@ -190,6 +190,11 @@ class ClassAd:
         for original, expr in self._attrs.values():
             yield original, expr
 
+    def copy(self) -> "ClassAd":
+        """A new ad with the same attributes, in the same order; the
+        (immutable) expressions are shared."""
+        return ClassAd(dict(self._attrs))
+
     @classmethod
     def from_values(cls, values: Mapping[str, object]) -> "ClassAd":
         """Build an ad from plain Python values (numbers, strings, bools)."""

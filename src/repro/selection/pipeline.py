@@ -297,6 +297,9 @@ def select_once(
     :func:`baseline_turnaround`.  ``unavailable`` is the full banned set —
     dead, busy *and* bound hosts, as
     :meth:`~repro.resources.churn.ResourceChurn.unavailable` returns it.
+    The engines only read it, so it is handed to them uncopied; what they
+    build from the platform alone is built once per platform
+    (:meth:`~repro.resources.platform.Platform.derived`).
 
     ``deadline_remaining_s`` is the caller's remaining virtual-time
     budget: when it is exhausted (``<= 0``) the backend is not consulted
@@ -306,14 +309,14 @@ def select_once(
     if deadline_remaining_s is not None and deadline_remaining_s <= 0:
         return None, 0.0
     if backend == "vges":
-        engine = VgES(platform, unavailable=set(unavailable))
+        engine = VgES(platform, unavailable=unavailable)
         with observe.span("pipeline.select.vges"):
             vg = engine.find_and_bind(spec.to_vgdl())
         if vg is None:
             return None, miss_latency(platform, backend, 0)
         return vg.all_hosts(), vg.selection_time
     if backend == "sword":
-        engine = SwordEngine(platform, unavailable=set(unavailable))
+        engine = SwordEngine(platform, unavailable=unavailable)
         with observe.span("pipeline.select.sword"):
             result = engine.query(spec.to_sword_xml())
         latency = miss_latency(platform, backend, 0)

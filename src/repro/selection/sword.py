@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from typing import AbstractSet
 
 import numpy as np
 
@@ -84,11 +85,17 @@ def cluster_table(platform: Platform) -> ClusterTable:
     tag and one lowercased string column per :data:`CATEGORICAL_ATTRS`
     tag.
 
-    :class:`SwordEngine` builds it once per query and the platform
-    preflight (:mod:`repro.analysis.preflight`) once per call; both
+    Built once per platform
+    (:meth:`~repro.resources.platform.Platform.derived`) and shared by
+    every :class:`SwordEngine` query and SWORD preflight
+    (:mod:`repro.analysis.preflight`), so its columns are read-only; both
     eliminate clusters with :func:`in_required_range` and
     :func:`matches_category`.
     """
+    return platform.derived(_build_cluster_table)
+
+
+def _build_cluster_table(platform: Platform) -> ClusterTable:
     rows = [platform.cluster_attributes(c) for c in range(platform.n_clusters)]
     values = {
         tag: np.array([float(attrs[name]) for attrs in rows], dtype=np.float64)
@@ -99,6 +106,8 @@ def cluster_table(platform: Platform) -> ClusterTable:
         tag: np.array([attrs[name].lower() for attrs in rows])
         for tag, name in CATEGORICAL_NAMES.items()
     }
+    for column in (*values.values(), *cats.values()):
+        column.flags.writeable = False
     return values, cats
 
 
@@ -333,11 +342,11 @@ class SwordEngine:
 
     ``unavailable`` holds host ids that must never be selected (busy under
     background load, dead, or bound by other users — see
-    :mod:`repro.resources.binding`).
+    :mod:`repro.resources.binding`); the engine only reads it.
     """
 
     platform: Platform
-    unavailable: set[int] = field(default_factory=set)
+    unavailable: AbstractSet[int] = field(default_factory=set)
 
     def query(self, query: SwordQuery | str) -> SwordResult | None:
         """Answer ``query``; None when no feasible configuration exists."""
@@ -460,7 +469,8 @@ class SwordEngine:
             total_pen = 0.0
             needed = group.num_machines
             for pen, cid in ranked:
-                hosts = np.flatnonzero((plat.host_cluster == cid) & free)[:needed]
+                hosts = plat.cluster_hosts(cid)
+                hosts = hosts[free[hosts]][:needed]
                 if hosts.size == 0:
                     continue
                 chosen.append(hosts)

@@ -33,6 +33,7 @@ else → evaluate per cluster and prefer higher values).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import AbstractSet
 
 import numpy as np
 
@@ -298,36 +299,46 @@ def parse_vgdl(text: str) -> VgdlSpec:
 # ----------------------------------------------------------------------
 # Selection engine (the vgFAB of §II.4.1)
 # ----------------------------------------------------------------------
+def _build_cluster_ads(platform: Platform) -> tuple[ClassAd, ...]:
+    """One vgES ad per cluster, the :data:`ADVERTISED` projection of
+    :meth:`~repro.resources.platform.Platform.cluster_attributes`; built
+    once per platform through
+    :meth:`~repro.resources.platform.Platform.derived`."""
+    ads = []
+    for cid in range(platform.n_clusters):
+        attrs = platform.cluster_attributes(cid)
+        ads.append(ClassAd.from_values({name: attrs[name] for name in ADVERTISED}))
+    return tuple(ads)
+
+
 @dataclass
 class VgES:
     """Finder-and-binder over a synthetic platform database.
 
     ``unavailable`` holds host ids that must never be selected (busy under
     background load, or bound by other users — see
-    :mod:`repro.resources.binding`).
+    :mod:`repro.resources.binding`); the engine only reads it.  The
+    cluster ads are the platform's, shared by every engine over it, so a
+    select pays for the scan and not for building them.
     """
 
     platform: Platform
     tight_bandwidth_bps: float = TIGHT_BANDWIDTH_BPS
     close_bandwidth_bps: float = CLOSE_BANDWIDTH_BPS
-    unavailable: set[int] = field(default_factory=set)
+    unavailable: AbstractSet[int] = field(default_factory=set)
 
-    _cluster_ads: list[ClassAd] = field(init=False, repr=False)
+    _cluster_ads: tuple[ClassAd, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._cluster_ads = []
-        for cid in range(self.platform.n_clusters):
-            attrs = self.platform.cluster_attributes(cid)
-            self._cluster_ads.append(
-                ClassAd.from_values({name: attrs[name] for name in ADVERTISED})
-            )
+        self._cluster_ads = self.platform.derived(_build_cluster_ads)
 
     # -- cluster-level matching ----------------------------------------
     def matching_clusters(self, constraint: Expr) -> np.ndarray:
         """Cluster ids whose (homogeneous) hosts satisfy the constraint.
 
-        One evaluation per cluster ad, in cluster order: the engine is
-        built per select, so there is no warm index to amortize.
+        One evaluation per cluster ad, in cluster order.  The ads are
+        built once per platform, but the scan is not memoised: a
+        constraint costs the same every time it is asked.
         """
         out = [
             cid
@@ -345,7 +356,8 @@ class VgES:
         return 0.0
 
     def _cluster_hosts(self, cid: int, free: np.ndarray) -> np.ndarray:
-        return np.flatnonzero((self.platform.host_cluster == cid) & free)
+        hosts = self.platform.cluster_hosts(cid)
+        return hosts[free[hosts]]
 
     # -- aggregate selection --------------------------------------------
     def _candidate_selections(
@@ -445,35 +457,44 @@ class VgES:
         """
         if isinstance(spec, str):
             spec = parse_vgdl(spec)
-        budget = [max_backtracks]
-
-        def bind(i: int, allowed: np.ndarray | None, free: np.ndarray) -> list[np.ndarray] | None:
-            if i == len(spec.aggregates):
-                return []
-            agg = spec.aggregates[i]
-            for hosts in self._candidate_selections(agg, allowed, free):
-                if budget[0] <= 0:
-                    return None
-                budget[0] -= 1
-                next_allowed: np.ndarray | None = None
-                if i < len(spec.connectors):
-                    next_allowed = self._allowed_after(spec.connectors[i], hosts)
-                    if next_allowed.size == 0:
-                        continue
-                rest_free = free.copy()
-                rest_free[hosts] = False
-                rest = bind(i + 1, next_allowed, rest_free)
-                if rest is not None:
-                    return [hosts] + rest
-            return None
-
-        chosen = bind(0, None, self.platform.free_mask(self.unavailable))
+        free = self.platform.free_mask(self.unavailable)
+        chosen = self._bind(spec, 0, None, free, [max_backtracks])
         if chosen is None:
             return None
         # Selection latency: one linear pass over the cluster database per
         # aggregate (vgES uses an indexed relational DB; cheap and flat).
         selection_time = 1e-5 * self.platform.n_clusters * len(spec.aggregates)
         return VirtualGrid(spec, chosen, selection_time=selection_time)
+
+    def _bind(
+        self,
+        spec: VgdlSpec,
+        i: int,
+        allowed: np.ndarray | None,
+        free: np.ndarray,
+        budget: list[int],
+    ) -> list[np.ndarray] | None:
+        """Hosts for aggregates ``i`` onwards, backtracking over each
+        aggregate's candidates; ``budget[0]`` counts the candidates left
+        to try, across the whole search."""
+        if i == len(spec.aggregates):
+            return []
+        agg = spec.aggregates[i]
+        for hosts in self._candidate_selections(agg, allowed, free):
+            if budget[0] <= 0:
+                return None
+            budget[0] -= 1
+            next_allowed: np.ndarray | None = None
+            if i < len(spec.connectors):
+                next_allowed = self._allowed_after(spec.connectors[i], hosts)
+                if next_allowed.size == 0:
+                    continue
+            rest_free = free.copy()
+            rest_free[hosts] = False
+            rest = self._bind(spec, i + 1, next_allowed, rest_free, budget)
+            if rest is not None:
+                return [hosts] + rest
+        return None
 
     def find_and_bind_atomically(self, spec: VgdlSpec | str, binder) -> VirtualGrid | None:
         """Integrated selection *and* binding (the vgFAB's key trick): the

@@ -52,8 +52,11 @@ breakers and fault injection is answered by
 rule.  Respecification ladders, static preflights and baseline
 turnarounds (:func:`~repro.selection.pipeline.baseline_turnaround`) are
 cached and shared across tenants; same-instant operations are dispatched
-as one batch.  Selection engines are not cached: every select builds its
-engine over the current banned set.
+as one batch.  Every select builds its engine over the current banned
+set; the engine is a view over that set and the selection tables that
+depend on the platform alone, which are built once per platform
+(:meth:`~repro.resources.platform.Platform.derived`) and hold nothing
+request-dependent.
 
 Resilience
 ----------
@@ -597,8 +600,10 @@ class SelectionService:
     ``run(requests)`` replays bit-identically for fixed ``(platform,
     churn_config, config, requests)`` — including across interleave
     seeds.  Each call builds a fresh ``Binder`` and churn state machine
-    (from ``churn_config``), so back-to-back runs are independent;
-    selection engines are built per select, never cached.
+    (from ``churn_config``), so back-to-back runs are independent.  A
+    select's engine lives for that select only; what it shares with other
+    selects is the platform's read-only selection tables, which hold
+    nothing request-dependent.
     """
 
     platform: Platform

@@ -102,7 +102,7 @@ def _self_check(spec: "ResourceSpecification") -> None:
     """Lint ``spec``'s three renderings; error findings raise.
 
     Imported lazily: :mod:`repro.analysis` depends on this module for
-    typing, and the check is optional (``self_check=False``).
+    typing.
     """
     from repro.analysis.spec import SpecificationLintError, analyze_specification
 
@@ -327,10 +327,6 @@ class ResourceSpecificationGenerator:
     heuristic_model: HeuristicPredictionModel | None = None
     target_clock_ghz: float = 3.0
     heterogeneity_tolerance: float = 0.3
-    #: Lint every generated spec in all three output languages; an
-    #: error-level finding is a generator bug and raises
-    #: :class:`~repro.analysis.spec.SpecificationLintError`.
-    self_check: bool = True
 
     def generate(
         self,
@@ -343,6 +339,9 @@ class ResourceSpecificationGenerator:
         With a ``utility``, the knee threshold is chosen among the size
         model's trained thresholds by minimising the utility (Fig. V-7):
         larger thresholds give smaller, cheaper RCs at bounded degradation.
+        The spec is linted in all three output languages before it is
+        returned; an error-level finding is a generator bug and raises
+        :class:`~repro.analysis.spec.SpecificationLintError`.
         """
         ch = characteristics(dag)
         if utility is not None:
@@ -369,8 +368,7 @@ class ResourceSpecificationGenerator:
             dag_name=sanitize_dag_name(dag.name),
             dag_characteristics=ch,
         )
-        if self.self_check:
-            _self_check(spec)
+        _self_check(spec)
         return spec
 
     def _choose_threshold(

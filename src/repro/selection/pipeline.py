@@ -47,8 +47,8 @@ advances the virtual clock), so seeded replay stays bit-identical.
 **One ladder, two drivers.**  The ladder walk (:func:`climb`, over the
 rungs of :func:`ladder_rungs`) and the churn-aware executor
 (:func:`execute`) are written once, as coroutines over a small per-run
-port: ``now``, ``churn``, and awaitable ``sleep``, ``sleep_until``,
-``select``, ``bind`` and ``rebind``.  :class:`SelectionPipeline` drives
+port: ``now``, ``churn``, and awaitable ``sleep_until``, ``select``,
+``bind`` and ``rebind``.  :class:`SelectionPipeline` drives
 them over a port that acts at once on its own churn and binder, so each
 coroutine finishes in a single step; the multi-tenant service
 (:mod:`repro.service`) awaits the same coroutines on its virtual-time
@@ -287,8 +287,6 @@ def select_once(
     backend: str,
     spec: ResourceSpecification,
     unavailable: set[int],
-    *,
-    deadline_remaining_s: float | None = None,
 ) -> tuple[np.ndarray | None, float]:
     """Run one selection backend; returns ``(host ids | None, latency)``.
 
@@ -300,14 +298,7 @@ def select_once(
     The engines only read it, so it is handed to them uncopied; what they
     build from the platform alone is built once per platform
     (:meth:`~repro.resources.platform.Platform.derived`).
-
-    ``deadline_remaining_s`` is the caller's remaining virtual-time
-    budget: when it is exhausted (``<= 0``) the backend is not consulted
-    at all — the call returns ``(None, 0.0)`` in zero virtual time so the
-    caller can convert the refusal into a ``deadline_exceeded`` abort.
     """
-    if deadline_remaining_s is not None and deadline_remaining_s <= 0:
-        return None, 0.0
     if backend == "vges":
         engine = VgES(platform, unavailable=unavailable)
         with observe.span("pipeline.select.vges"):
@@ -500,8 +491,8 @@ async def climb(
         for k in range(config.max_retries + 1):
             if k > 0:
                 delay = BACKOFF_S * 2 ** (k - 1)
-                await io.sleep(
-                    delay * backoff_jitter(config.seed, backend + jitter_tag, s_idx, k)
+                await io.sleep_until(
+                    io.now + delay * backoff_jitter(config.seed, backend + jitter_tag, s_idx, k)
                 )
             if io.now >= deadline_at:
                 observe.inc("pipeline.deadline_aborts")
@@ -510,10 +501,8 @@ async def climb(
                     SelectionAttempt(backend, s_idx, k, io.now, "deadline_exceeded")
                 )
                 return "deadline_exceeded"
-            hosts, latency, reason = await io.select(
-                backend, spec, s_idx, k, deadline_at - io.now
-            )
-            await io.sleep(latency)
+            hosts, latency, reason = await io.select(backend, spec, s_idx, k)
+            await io.sleep_until(io.now + latency)
             n = 0 if hosts is None else int(hosts.size)
             if reason is None:
                 if hosts is None or n < spec.min_size:
@@ -656,17 +645,11 @@ class _ChurnPort:
     def now(self) -> float:
         return self.churn.now
 
-    async def sleep(self, delay: float) -> None:
-        self.churn.advance(self.churn.now + delay)
-
     async def sleep_until(self, time: float) -> None:
         self.churn.advance(time)
 
-    async def select(self, backend, spec, s_idx, attempt, deadline_remaining_s):
-        hosts, latency = select_once(
-            self._platform, backend, spec, self.churn.unavailable(),
-            deadline_remaining_s=deadline_remaining_s,
-        )
+    async def select(self, backend, spec, s_idx, attempt):
+        hosts, latency = select_once(self._platform, backend, spec, self.churn.unavailable())
         return hosts, latency, None
 
     async def bind(self, hosts, s_idx, attempt) -> str | None:
@@ -701,8 +684,9 @@ class SelectionPipeline:
     ``churn`` supplies the dynamics and the virtual clock; the pipeline
     binds through ``churn.binder``, so competitor bindings and our own
     contend for the same hosts.  ``alternatives`` may be passed explicitly
-    (tests); otherwise they are computed lazily from the platform's clock
-    bands on first fulfillment failure.
+    (tests) as the ladder of every run; otherwise each run computes its
+    request's own, lazily from the platform's clock bands on its first
+    fulfillment failure.
     """
 
     platform: Platform
@@ -720,13 +704,15 @@ class SelectionPipeline:
         fulfillment failure (returns an unfulfilled outcome instead)."""
         cfg = self.config
         churn = self.churn
+        alts = self.alternatives
 
         def alternatives() -> list[ResourceSpecification]:
-            if self.alternatives is None:
-                self.alternatives = respecifications(
-                    dag, spec, self.platform, cfg.max_respecs
-                )
-            return self.alternatives[: cfg.max_respecs]
+            # Every backend's ladder climbs this run's alternatives; they
+            # are computed once per run, never kept for the next request.
+            nonlocal alts
+            if alts is None:
+                alts = respecifications(dag, spec, self.platform, cfg.max_respecs)
+            return alts[: cfg.max_respecs]
 
         churn.advance(churn.now)  # apply any events pending at t = now
         port = _ChurnPort(self.platform, churn)

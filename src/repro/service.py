@@ -13,7 +13,8 @@ Tenants do not carry a ladder or executor of their own: each awaits the
 pipeline's :func:`~repro.selection.pipeline.climb` and
 :func:`~repro.selection.pipeline.execute` coroutines over a per-tenant
 port (:class:`_TenantPort`) whose ``select``, ``bind`` and ``rebind``
-are dispatcher operations and whose sleeps wait on the virtual clock.
+are dispatcher operations and whose ``sleep_until`` waits on the virtual
+clock.
 So a tenant prunes, retries, respecifies and falls back exactly as
 ``repro select`` does.  Three differences are intended and passed as
 arguments: the backoff jitter key carries the tenant/request id, the
@@ -30,11 +31,12 @@ points are either virtual sleeps or service futures.  Two mechanisms
 make an N-tenant run replay bit-identically for *any* interleaving seed:
 
 * every mutation of shared state (selection, binding, rebinding,
-  release, admission) is submitted as an *operation* to a dispatcher
-  task that runs after all same-instant tenant steps (a later kernel
-  tier) and processes each batch in canonical ``(tenant, seq)`` order —
-  so the interleaving seed permutes same-instant *wakeup* order only,
-  never the order shared state is touched in;
+  release, admission) is submitted as an *operation* to the dispatcher,
+  the kernel's end-of-instant hook: once no tenant step is left at the
+  current instant it applies the pending operations as one batch, in
+  canonical ``(tenant, request id)`` order — so the interleaving seed
+  permutes same-instant *wakeup* order only, never the order shared
+  state is touched in;
 * tenant coroutines read only deterministic views between operations
   (the immutable churn trace, ``churn.dead`` at the current instant).
 
@@ -190,10 +192,6 @@ class ServiceFuture:
         self._value: Any = None
         self._waiters: list[_Task] = []
 
-    @property
-    def done(self) -> bool:
-        return self._done
-
     def resolve(self, value: Any = None) -> None:
         if self._done:
             raise ServiceError("future already resolved")
@@ -212,17 +210,11 @@ class ServiceFuture:
 class _Task:
     """One coroutine on the kernel heap, stepped in its own context."""
 
-    __slots__ = (
-        "id", "coro", "tier", "name", "context", "finished", "result",
-        "wakes", "error", "critical",
-    )
+    __slots__ = ("id", "coro", "name", "context", "finished", "result", "wakes", "error")
 
-    def __init__(
-        self, task_id: int, coro, tier: int, name: str, critical: bool = False
-    ) -> None:
+    def __init__(self, task_id: int, coro, name: str) -> None:
         self.id = task_id
         self.coro = coro
-        self.tier = tier
         self.name = name
         # A private contextvars.Context per task — matching asyncio.Task
         # semantics — so each tenant has an isolated observe span stack.
@@ -230,58 +222,52 @@ class _Task:
         self.finished = False
         self.result: Any = None
         self.wakes = 0
-        #: Exception the kernel isolated (non-critical tasks only).
+        #: Exception the kernel isolated.
         self.error: BaseException | None = None
-        #: Critical tasks (the dispatcher) propagate exceptions out of
-        #: ``run()`` instead of being isolated — a dispatcher failure is
-        #: a service failure, not a tenant failure.
-        self.critical = critical
 
 
 class _Kernel:
-    """Deterministic trampoline over ``(time, tier, shuffle, seq)``.
+    """Deterministic trampoline over ``(time, shuffle, seq)``.
 
     Tasks at the same instant run in shuffle order — a digest of
     ``(interleave_seed, task id, wake count)`` — so the seed permutes
-    same-instant wakeups and *only* that.  ``tier`` orders task classes
-    within an instant: tenants (0) before the dispatcher (1), so a
-    dispatch batch always contains every operation submitted at that
-    instant so far.  ``on_advance`` fires exactly once per distinct
-    time before any task at that time runs (the churn hook).
+    same-instant wakeups and *only* that.  ``on_idle`` (the dispatcher)
+    runs whenever no task is left at the current instant: before the
+    clock advances, and once more when the heap is empty.  So it sees
+    every operation the instant's tasks submitted, and the tasks it wakes
+    at that instant run before it is called again.  It runs in a context
+    copied when the kernel is built, as each task runs in its own, so the
+    spans it opens (the engines' ``pipeline.select.*``) do not nest under
+    a span open around :meth:`run`.  An exception it raises propagates
+    out of :meth:`run` — a dispatcher failure is a service failure, not a
+    tenant failure.  ``on_advance``
+    fires exactly once per distinct time before any task at that time
+    runs (the churn hook).
     """
 
     def __init__(
-        self, interleave_seed: int = 0, on_advance: Callable[[float], None] | None = None
+        self,
+        interleave_seed: int,
+        on_advance: Callable[[float], None],
+        on_idle: Callable[[], None],
     ) -> None:
         self.now = 0.0
         self._interleave_seed = int(interleave_seed)
         self._on_advance = on_advance
-        self._heap: list[tuple[float, int, int, int, _Task]] = []
+        self._on_idle = on_idle
+        self._context = contextvars.copy_context()
+        self._heap: list[tuple[float, int, int, _Task]] = []
         self._seq = 0
         self._n_tasks = 0
 
     def future(self) -> ServiceFuture:
         return ServiceFuture(self)
 
-    def spawn(
-        self,
-        coro,
-        *,
-        tier: int = 0,
-        start_at: float = 0.0,
-        name: str = "",
-        critical: bool = False,
-    ) -> _Task:
+    def spawn(self, coro, *, start_at: float = 0.0, name: str = "") -> _Task:
         self._n_tasks += 1
-        task = _Task(self._n_tasks, coro, tier, name, critical)
+        task = _Task(self._n_tasks, coro, name)
         self._schedule(task, max(float(start_at), self.now))
         return task
-
-    async def sleep(self, delay: float) -> None:
-        """Suspend the calling task for ``delay`` virtual seconds."""
-        if delay < 0:
-            raise ServiceError("cannot sleep a negative virtual delay")
-        await _SleepUntil(self.now + float(delay))
 
     async def sleep_until(self, time: float) -> None:
         """Suspend the calling task until virtual time ``time`` (at once
@@ -297,32 +283,21 @@ class _Kernel:
 
     def _schedule(self, task: _Task, time: float) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time, task.tier, self._shuffle_key(task), self._seq, task))
+        heapq.heappush(self._heap, (time, self._shuffle_key(task), self._seq, task))
 
     def run(self) -> None:
-        while self._heap:
-            time, _tier, _shuf, _seq, task = heapq.heappop(self._heap)
-            if task.finished:  # pragma: no cover - defensive
-                continue
-            if time > self.now:
-                if self._on_advance is not None:
+        heap = self._heap
+        while True:
+            if not heap or heap[0][0] > self.now:
+                self._context.run(self._on_idle)
+                if not heap:
+                    return
+                time = heap[0][0]
+                if time > self.now:
                     self._on_advance(time)
-                self.now = time
+                    self.now = time
+            task = heapq.heappop(heap)[-1]
             self._step(task)
-
-    def abort(self) -> None:
-        """Close every unfinished coroutine still on the heap.
-
-        Called when a critical task takes the kernel down (e.g. an
-        injected dispatcher crash): never-started tenant coroutines
-        would otherwise emit 'coroutine was never awaited' warnings at
-        garbage collection.
-        """
-        for _t, _tier, _shuf, _seq, task in self._heap:
-            if not task.finished:
-                task.finished = True
-                task.coro.close()
-        self._heap.clear()
 
     def _step(self, task: _Task) -> None:
         try:
@@ -332,13 +307,9 @@ class _Kernel:
             task.result = stop.value
             return
         except Exception as exc:
-            # Failure isolation: a non-critical (tenant) coroutine that
-            # raises is terminated and recorded, never allowed to take the
-            # kernel — and with it every other tenant — down.  Critical
-            # tasks (the dispatcher) re-raise: their failure *is* the
-            # service failing, and callers need the real traceback.
-            if task.critical:
-                raise
+            # Failure isolation: a tenant coroutine that raises is
+            # terminated and recorded, never allowed to take the kernel —
+            # and with it every other tenant — down.
             task.finished = True
             task.error = exc
             return
@@ -512,16 +483,14 @@ class ServiceConfig:
 class _Op:
     """One shared-state operation, processed in canonical request order.
 
-    The sort key is ``(tenant, rid, seq)``: a coroutine has at most one
-    outstanding op, so within a batch ``(tenant, rid)`` is unique and
-    the global submission ``seq`` (which *does* depend on same-instant
-    wakeup order) never decides between two tenants.
+    The sort key is ``(tenant, rid)``: a coroutine has at most one
+    outstanding op, so within a batch the key is unique and same-instant
+    wakeup order never decides between two operations.
     """
 
     kind: str  # admit | select | bind | rebind | finish
     tenant: int
     rid: int
-    seq: int
     payload: Any
     future: ServiceFuture
 
@@ -550,16 +519,15 @@ class _TenantPort:
     """One request's port onto the shared ladder and executor
     (:func:`~repro.selection.pipeline.climb`,
     :func:`~repro.selection.pipeline.execute`): selections, binds and
-    rebinds become dispatcher operations, and sleeps wait on the virtual
-    clock.  Injected bind stalls happen here, so the ladder sees only the
-    refusal reason they cause."""
+    rebinds become dispatcher operations, and ``sleep_until`` waits on the
+    virtual clock.  Injected bind stalls happen here, so the ladder sees
+    only the refusal reason they cause."""
 
     def __init__(self, service: "SelectionService", tenant: int, rid: int) -> None:
         self._service = service
         self._tenant = tenant
         self._rid = rid
         self.churn = service._churn
-        self.sleep = service._kernel.sleep
         self.sleep_until = service._kernel.sleep_until
 
     @property
@@ -569,8 +537,8 @@ class _TenantPort:
     def _call(self, kind: str, payload: Any):
         return self._service._call(kind, self._tenant, self._rid, payload)
 
-    def select(self, backend, spec, s_idx, attempt, deadline_remaining_s):
-        return self._call("select", (backend, spec, s_idx, attempt, deadline_remaining_s))
+    def select(self, backend, spec, s_idx, attempt):
+        return self._call("select", (backend, spec, s_idx, attempt))
 
     async def bind(self, hosts: np.ndarray, s_idx: int, attempt: int) -> str | None:
         faults = self._service.faults
@@ -580,7 +548,7 @@ class _TenantPort:
                 # A stalled binder widens the selection window, inviting
                 # races and host loss.
                 observe.inc("service.bind_stalls")
-                await self.sleep(stall)
+                await self.sleep_until(self.now + stall)
                 if set(int(h) for h in hosts) & self.churn.dead:
                     return "host_lost"
         conflicts = await self._call("bind", hosts)
@@ -662,11 +630,8 @@ class SelectionService:
         self._ladder_cache: dict = {}
         self._preflight_cache: dict = {}
         self._baseline_cache: dict = {}
-        self._inflight = 0
         self._waiting: list[_Op] = []
         self._pending_ops: list[_Op] = []
-        self._op_seq = 0
-        self._signal_fut: ServiceFuture | None = None
         self._queue_waits: dict[int, list[float]] = {}
         self._batch_sizes: list[int] = []
         self._brownout = False
@@ -683,17 +648,15 @@ class SelectionService:
         elif journal_path is not None:
             self._journal = Journal.create(journal_path, self._inputs_digest(reqs))
 
-        self._kernel = _Kernel(self.config.interleave_seed, self._on_advance)
+        self._kernel = _Kernel(
+            self.config.interleave_seed, self._on_advance, self._dispatch
+        )
         # Apply anything pending at t = 0.
         self._churn.advance(0.0)
 
-        self._kernel.spawn(
-            self._dispatch_loop(), tier=1, name="dispatcher", critical=True
-        )
         tasks = [
             self._kernel.spawn(
                 self._tenant(req, rid),
-                tier=0,
                 start_at=req.arrival_s,
                 name=f"tenant{req.tenant}#{rid}",
             )
@@ -703,9 +666,17 @@ class SelectionService:
             with observe.span("service.run"):
                 self._kernel.run()
         except BaseException:
-            self._kernel.abort()
+            # The dispatcher (an injected crash, say) took the kernel
+            # down: close every tenant, started or not, so none is left
+            # for the garbage collector to finalize.
+            for task in tasks:
+                task.coro.close()
             raise
         finally:
+            # The kernel holds this service's hooks; dropping it ends the
+            # reference cycle, so the run's state is freed without the
+            # cyclic collector.
+            del self._kernel
             if self._journal is not None:
                 self._journal.close()
 
@@ -783,33 +754,27 @@ class SelectionService:
     # Tenant -> dispatcher plumbing
     # ------------------------------------------------------------------
     async def _call(self, kind: str, tenant: int, rid: int, payload: Any) -> Any:
-        self._op_seq += 1
-        op = _Op(kind, tenant, rid, self._op_seq, payload, self._kernel.future())
+        op = _Op(kind, tenant, rid, payload, self._kernel.future())
         self._pending_ops.append(op)
-        if self._signal_fut is not None:
-            signal, self._signal_fut = self._signal_fut, None
-            signal.resolve()
         return await op.future
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            if not self._pending_ops:
-                self._signal_fut = self._kernel.future()
-                await self._signal_fut
-            # Canonical order: outcomes must not depend on which tenant
-            # happened to wake first within this instant.
-            batch = sorted(
-                self._pending_ops, key=lambda op: (op.tenant, op.rid, op.seq)
-            )
-            self._pending_ops.clear()
-            self._batch_no += 1
-            self._journal_batch(batch)
-            observe.inc("service.batches")
-            observe.inc("service.batched_ops", len(batch))
-            self._batch_sizes.append(len(batch))
-            for op in batch:
-                self._process_op(op)
-            self._update_brownout()
+    def _dispatch(self) -> None:
+        """The kernel's end-of-instant hook: apply the pending operations
+        as one batch, journaled first, then re-evaluate brownout."""
+        if not self._pending_ops:
+            return
+        # Canonical order: outcomes must not depend on which tenant
+        # happened to wake first within this instant.
+        batch = sorted(self._pending_ops, key=lambda op: (op.tenant, op.rid))
+        self._pending_ops.clear()
+        self._batch_no += 1
+        self._journal_batch(batch)
+        observe.inc("service.batches")
+        observe.inc("service.batched_ops", len(batch))
+        self._batch_sizes.append(len(batch))
+        for op in batch:
+            self._process_op(op)
+        self._update_brownout()
 
     def _journal_batch(self, batch: list[_Op]) -> None:
         """Write-ahead (or replay-verify) one batch, then fire any
@@ -851,7 +816,7 @@ class SelectionService:
             str(self._churn._cursor),
             ",".join(str(h) for h in sorted(self._churn.dead)),
             ",".join(str(h) for h in sorted(self._churn.competitor_held)),
-            str(self._inflight),
+            str(len(self._admitted_live)),
             ";".join(f"{o.tenant}.{o.rid}" for o in self._waiting),
         ]
         return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]
@@ -860,7 +825,7 @@ class SelectionService:
         """Re-evaluate brownout at the batch boundary (the only place
         occupancy changes), keeping the flag interleave-invariant."""
         cap = self.config.max_inflight + self.config.queue_capacity
-        occupancy = (self._inflight + len(self._waiting)) / cap if cap else 1.0
+        occupancy = (len(self._admitted_live) + len(self._waiting)) / cap if cap else 1.0
         engaged = occupancy >= self.config.brownout_threshold
         if engaged and not self._brownout:
             observe.inc("service.brownout_entries")
@@ -896,19 +861,18 @@ class SelectionService:
                 victim.future.resolve("shed")
 
     def _pump_admissions(self) -> None:
-        while self._waiting and self._inflight < self.config.max_inflight:
+        while self._waiting and len(self._admitted_live) < self.config.max_inflight:
             best = min(self._waiting, key=lambda o: (o.payload, o.rid))
             self._waiting.remove(best)
             self._grant(best)
 
     def _grant(self, op: _Op) -> None:
-        self._inflight += 1
         self._admitted_live.add(op.rid)
         observe.inc("service.admissions")
         op.future.resolve(self._kernel.now)
 
     def _op_select(self, op: _Op) -> None:
-        backend, spec, s_idx, attempt, remaining = op.payload
+        backend, spec, s_idx, attempt = op.payload
         now = self._kernel.now
         breaker = self._breakers[backend]
         if breaker["state"] == "open":
@@ -938,9 +902,7 @@ class SelectionService:
                 self._breaker_failure(backend)
                 op.future.resolve((None, latency, f"backend_{fault}"))
                 return
-        hosts, latency = select_once(
-            self.platform, backend, spec, unavailable, deadline_remaining_s=remaining
-        )
+        hosts, latency = select_once(self.platform, backend, spec, unavailable)
         # The engine answered — a match or a legitimate miss — so the
         # backend is healthy.
         self._breaker_success(backend)
@@ -997,7 +959,6 @@ class SelectionService:
             self._binder.release(np.asarray(held, dtype=np.int64))
         self._held_by.pop(op.rid, None)
         self._admitted_live.discard(op.rid)
-        self._inflight -= 1
         observe.inc("service.completions")
         self._pump_admissions()
         op.future.resolve(None)
@@ -1087,17 +1048,19 @@ class SelectionService:
                 priority=req.priority,
             )
 
-    async def _tenant_body(self, req: TenantRequest, request_id: int) -> TenantOutcome:
-        kernel = self._kernel
+    def _crash_point(self, req: TenantRequest, request_id: int, point: str) -> None:
+        """Raise the injected tenant crash armed at ``point``, if any."""
         faults = self.faults
-
         if faults is not None and faults.tenant_crash(
-            req.tenant, request_id, "admit", kernel.now
+            req.tenant, request_id, point, self._kernel.now
         ):
             raise InjectedFault(
-                f"injected tenant crash (admit) tenant={req.tenant} rid={request_id}"
+                f"injected tenant crash ({point}) tenant={req.tenant} rid={request_id}"
             )
 
+    async def _tenant_body(self, req: TenantRequest, request_id: int) -> TenantOutcome:
+        kernel = self._kernel
+        self._crash_point(req, request_id, "admit")
         admit_at = await self._call("admit", req.tenant, request_id, req.priority)
         if not isinstance(admit_at, float):
             return TenantOutcome(
@@ -1113,13 +1076,7 @@ class SelectionService:
             )
         wait = admit_at - req.arrival_s
         self._queue_waits.setdefault(req.tenant, []).append(wait)
-
-        if faults is not None and faults.tenant_crash(
-            req.tenant, request_id, "select", kernel.now
-        ):
-            raise InjectedFault(
-                f"injected tenant crash (select) tenant={req.tenant} rid={request_id}"
-            )
+        self._crash_point(req, request_id, "select")
 
         budget = req.deadline_s if req.deadline_s is not None else self.config.deadline_s
         deadline_at = req.arrival_s + budget
@@ -1142,12 +1099,7 @@ class SelectionService:
         execution = None
         baseline = None
         if walk.bound is not None:
-            if faults is not None and faults.tenant_crash(
-                req.tenant, request_id, "bound", kernel.now
-            ):
-                raise InjectedFault(
-                    f"injected tenant crash (bound) tenant={req.tenant} rid={request_id}"
-                )
+            self._crash_point(req, request_id, "bound")
             execution = await execute(
                 port, self.platform, req.dag, walk.spec, walk.bound,
                 deadline_at=deadline_at,

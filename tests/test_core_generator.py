@@ -162,7 +162,7 @@ def test_from_dict_rejects_missing_required_keys():
 # The generator's static-analysis self-check.
 # ----------------------------------------------------------------------
 def test_generate_self_check_passes_on_real_output(tiny_size_model, small_montage):
-    # Default self_check=True: generation succeeds and the spec is clean.
+    # The self-check runs on every generate(): it passes and the spec is clean.
     spec = ResourceSpecificationGenerator(tiny_size_model).generate(small_montage)
     from repro.analysis import analyze_specification
 
@@ -182,13 +182,3 @@ def test_generate_self_check_catches_broken_renderer(tiny_size_model, small_mont
         gen.generate(small_montage)
     assert "SPEC104" in str(exc.value)
     assert exc.value.report.has_errors
-
-
-def test_generate_self_check_can_be_disabled(tiny_size_model, small_montage, monkeypatch):
-    def broken(self):
-        return "VG = LooseBagOf("
-
-    monkeypatch.setattr(ResourceSpecification, "to_vgdl", broken)
-    gen = ResourceSpecificationGenerator(tiny_size_model, self_check=False)
-    spec = gen.generate(small_montage)  # no raise
-    assert spec.size >= 1

@@ -7,7 +7,8 @@ import pytest
 
 import repro.observe as observe
 from repro.analysis.passes import subsumes
-from repro.core.generator import ResourceSpecification
+from repro.core.generator import ResourceSpecification, request_specification
+from repro.dag.montage import montage_dag, montage_level_counts
 from repro.experiments.chapter4 import build_universe
 from repro.experiments.scales import SMOKE
 from repro.resources.binding import Binder
@@ -190,6 +191,41 @@ def test_retry_backoff_advances_virtual_clock(platform, small_montage, spec):
     # Backoff is bounded and jittered: attempt k waits 5 * 2**(k-1) * [0.5, 1.5).
     assert 2.5 - 1e-6 <= times[1] - times[0] <= 7.5 + 1e-6
     assert 5.0 - 1e-6 <= times[2] - times[1] <= 15.0 + 1e-6
+
+
+def _scarce_request(levels: int, size: int):
+    """A Montage request for ``size`` hosts at exactly 3.6 GHz, which no
+    cluster offers, so the ladder must climb to an alternative."""
+    dag = montage_dag(montage_level_counts(levels))
+    spec = request_specification(
+        "mcp", size, clock_ghz=3.6, heterogeneity_tolerance=0.0, ccr=0.01,
+        threshold=0.01, dag_name=dag.name,
+    )
+    return dag, spec
+
+
+def test_reused_pipeline_climbs_each_requests_own_alternatives(platform):
+    config = PipelineConfig(backends=("vges",), max_retries=0)
+    first = _scarce_request(3, 40)
+    second = _scarce_request(10, 90)
+    reused = SelectionPipeline(platform, _quiet(platform), config)
+    assert reused.run(*first).spec_index == 1
+    # The same starting state as a fresh pipeline's: only the memo differs.
+    reused.churn = _quiet(platform)
+    again = reused.run(*second)
+    fresh = SelectionPipeline(platform, _quiet(platform), config).run(*second)
+    assert fresh.fulfilled and fresh.spec_index > 0
+    assert again.to_dict() == fresh.to_dict()
+
+
+def test_explicit_alternatives_are_every_runs_ladder(platform, spec):
+    config = PipelineConfig(backends=("vges",), max_retries=0)
+    pipeline = SelectionPipeline(
+        platform, _quiet(platform), config, alternatives=[_smaller(spec)]
+    )
+    for request in (_scarce_request(3, 40), _scarce_request(10, 90)):
+        outcome = pipeline.run(*request)
+        assert (outcome.spec_index, outcome.final_spec) == (1, _smaller(spec))
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,8 @@ The headline guarantees under test:
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 
 import numpy as np
@@ -22,9 +24,11 @@ import pytest
 import repro.observe as observe
 from repro.analysis.passes import subsumes
 from repro.dag.montage import montage_dag, montage_level_counts
+from repro.experiments.chapter4 import build_universe
+from repro.experiments.scales import get_scale
 from repro.observe import MetricsRegistry
 from repro.resources.binding import Binder
-from repro.resources.churn import ChurnConfig, ResourceChurn
+from repro.resources.churn import ChurnConfig, ResourceChurn, parse_churn_spec
 from repro.selection.pipeline import PipelineConfig, select_once
 from repro.service import (
     SelectionService,
@@ -437,6 +441,58 @@ def test_miss_latency_counts_free_hosts_from_ground_truth(monkeypatch):
     service.run(requests)
     assert any(brownout and backend == "classad" for brownout, backend, _, _ in calls)
     assert [c for c in calls if c[2] != c[3]] == []
+
+
+# ----------------------------------------------------------------------
+# The kernel: journal bytes pinned across changes, no reference cycles
+# ----------------------------------------------------------------------
+#: sha256 of the write-ahead journal (29 lines) of the 8 requests of
+#: ``synthesize_requests(platform, 8, seed=3)`` on the ``smoke`` universe
+#: built with seed 3, under :data:`GOLDEN_CHURN` and the default
+#: :class:`ServiceConfig`, for any interleave seed.  Batch contents, their
+#: order, their instants and the per-batch state digests are all in it,
+#: so any change to how the kernel groups or orders shared-state
+#: operations changes this value.
+GOLDEN_JOURNAL_SHA256 = "56356d358087ac35bd5761687e4311956105f306985e30881a1e09411e6d0390"
+GOLDEN_CHURN = "fail=0.002,competitor=0.01,util=0.25,seed=9"
+
+
+@pytest.fixture(scope="module")
+def smoke_universe():
+    return build_universe(get_scale("smoke"), 3)
+
+
+@pytest.mark.parametrize("interleave_seed", [0, 5])
+def test_journal_bytes_match_the_golden_digest(smoke_universe, tmp_path, interleave_seed):
+    requests = synthesize_requests(smoke_universe, 8, seed=3)
+    journal = tmp_path / "run.jsonl"
+    with observe.use_registry(MetricsRegistry()):
+        service = SelectionService(
+            smoke_universe,
+            parse_churn_spec(GOLDEN_CHURN),
+            ServiceConfig(interleave_seed=interleave_seed),
+        )
+        report = service.run(requests, journal_path=str(journal))
+    assert report.n_fulfilled == 8
+    data = journal.read_bytes()
+    assert data.count(b"\n") == 29
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_JOURNAL_SHA256
+
+
+def test_run_leaves_no_reference_cycles(smoke_universe):
+    # A finished run's service, churn trace, binder and caches are freed
+    # by reference counting alone: the kernel, which holds the service's
+    # hooks, is dropped when run() ends.
+    requests = synthesize_requests(smoke_universe, 8, seed=3)
+    churn = parse_churn_spec(GOLDEN_CHURN)
+    _serve(smoke_universe, requests, churn=churn)  # builds the platform tables
+    gc.collect()
+    gc.disable()
+    try:
+        _serve(smoke_universe, requests, churn=churn)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.slow

@@ -23,10 +23,12 @@ obligations:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -389,7 +391,8 @@ def test_crash_after_resumes_bit_identical(small_platform, tmp_path):
     reference, ref_counters, _ = _serve(small_platform, requests)
 
     # The journaled run dies after batch 4 (an injected dispatcher
-    # crash — the critical task, so it propagates out of run()).
+    # crash: the kernel's end-of-instant hook raises, and that
+    # propagates out of run()).
     faults = ServiceFaultInjector(crash_after=4)
     with pytest.raises(InjectedFault):
         _serve(
@@ -407,6 +410,24 @@ def test_crash_after_resumes_bit_identical(small_platform, tmp_path):
     # Ladder/fairness counters agree too (journal bookkeeping aside).
     for key, value in ref_counters.items():
         assert res_counters.get(key) == value, key
+
+
+def test_dispatcher_crash_closes_every_tenant(small_platform, monkeypatch):
+    # Batch 1 holds the t = 0 admissions, so the crash leaves two tenants
+    # suspended on their operations and six not started yet.  run() must
+    # close them all: a coroutine left to the garbage collector warns
+    # "was never awaited", or runs its supervisor during collection.
+    requests = synthesize_requests(small_platform, 8, seed=3)
+    assert max(r.arrival_s for r in requests) > 0
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InjectedFault):
+            _serve(small_platform, requests, faults=ServiceFaultInjector(crash_after=1))
+        gc.collect()
+    assert [str(w.message) for w in caught if "never awaited" in str(w.message)] == []
+    assert unraisable == []
 
 
 def test_resume_is_interleave_seed_independent(small_platform, tmp_path):

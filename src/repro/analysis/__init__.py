@@ -65,7 +65,6 @@ from repro.analysis.passes import (
 from repro.analysis.preflight import (
     PreflightResult,
     cluster_ads,
-    preflight_constraint,
     preflight_document,
     preflight_specification,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "analyze_specification",
     "PreflightResult",
     "cluster_ads",
-    "preflight_constraint",
     "preflight_document",
     "preflight_specification",
 ]

@@ -28,10 +28,11 @@ Lowering invariants:
 * **Conjunct order is the ``&&`` chain's left-to-right leaf order** —
   the same order :func:`iter_conjuncts` yields, so pass output order is
   reproducible and matches the historic analyzers.
-* ``deep=False`` lowering (the platform preflight's path) skips the
-  analysis-only facts (types, references, branches, spans) and extracts
-  only the clause-classification facts; no selection engine consults
-  the index planner that shares them.
+* ``deep=False`` lowering (the path of the index planner,
+  :mod:`repro.selection.index`, which no selection engine consults)
+  skips the analysis-only facts (types, references, branches, spans)
+  and extracts only the clause-classification facts.  The platform
+  preflight reads the deep-lowered scopes the frontends build.
 
 The expression helpers the facts are built from live here too: the
 attribute vocabulary, :class:`Interval` arithmetic (whose boundary case
@@ -777,9 +778,9 @@ def lower_expression(
 ) -> Constraint:
     """Lower one boolean constraint expression into the IR.
 
-    With ``deep=True`` (the analysis path) every clause carries type,
-    reference and branch facts plus source spans.  With ``deep=False``
-    (the platform preflight and the index planner) only the
+    With ``deep=True`` (the analysis path, which the platform preflight
+    also reads) every clause carries type, reference and branch facts
+    plus source spans.  With ``deep=False`` (the index planner) only the
     clause-classification facts are extracted — folded constant,
     numeric bound, string equality — and each is computed lazily in the
     planner's precedence order, so the cost matches the historic fact

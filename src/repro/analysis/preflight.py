@@ -11,12 +11,17 @@ host*.  The checks are deliberately sound-only:
   nothing), and
 * capacity — do enough matching hosts exist at all?
 
-Documents of any frontend language (vgDL, ClassAds, SWORD XML, JSON
-specification documents) are first lowered into
-:class:`repro.analysis.ir.Document`; the preflight then walks the lowered
-scopes generically — ClassAd-expression scopes evaluate clause by clause
-against the cluster ads, SWORD group scopes eliminate clusters through
-their 5-tuple required ranges and hard categoricals.
+Every input is first lowered into a :class:`repro.analysis.ir.Document`:
+a document of any frontend language (vgDL, ClassAds, SWORD XML, JSON
+specification documents) by :func:`~repro.analysis.ir.lower_document`,
+and a generated specification by
+:func:`~repro.analysis.ir.lower_specification`, whose one scope states
+the clock floor on at least ``min_size`` hosts.  Two walkers read the
+lowered scopes: one loop evaluates every ClassAd-expression scope (vgDL
+aggregates, gangmatch ports, a bilateral request, a specification)
+clause by clause against the cluster ads, and SWORD group scopes
+eliminate clusters through their 5-tuple required ranges and hard
+categoricals, as SWORD's engine does.
 
 Connectivity, latency-zone packing and contention are *not* modelled
 here: a spec this module calls unsatisfiable is genuinely hopeless on the
@@ -28,7 +33,7 @@ fulfillable alternative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,7 +42,7 @@ from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis import ir
 from repro.resources.platform import PER_HOST_ATTRIBUTES
 from repro.selection.classad.evaluator import EvalContext, evaluate
-from repro.selection.classad.parser import ClassAd, Expr, parse_expression
+from repro.selection.classad.parser import ClassAd
 from repro.selection.sword import cluster_table, in_required_range, matches_category
 from repro.selection.vgdl import ADVERTISED as VGES_ADVERTISED
 
@@ -45,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.generator import ResourceSpecification
     from repro.resources.platform import Platform
 
-__all__ = ["PreflightResult", "cluster_ads", "preflight_constraint", "preflight_specification", "preflight_document"]
+__all__ = ["PreflightResult", "cluster_ads", "preflight_specification", "preflight_document"]
 
 
 @dataclass(frozen=True)
@@ -179,52 +184,18 @@ def _preflight_clauses(
     )
 
 
-def preflight_constraint(
-    constraint: Expr,
-    platform: "Platform",
-    *,
-    min_hosts: int = 1,
-    label: str | None = None,
-    lang: str = "classad",
-    report: DiagnosticReport | None = None,
-) -> PreflightResult:
-    """Eliminate hosts clause by clause against the platform snapshot.
-
-    ``label`` is the Gangmatch port label when the constraint references
-    the candidate through a scope (``cpu.Clock``); without it the
-    candidate ad is the evaluation subject itself (vgDL style).  Emits
-    SPEC201 when a clause eliminates the last host and SPEC202 when the
-    survivors number fewer than ``min_hosts``.
-    """
-    report = DiagnosticReport() if report is None else report
-    lowered = ir.lower_expression(constraint, lang=lang, deep=False)
-    return _preflight_clauses(
-        lowered.clauses,
-        platform,
-        min_hosts=min_hosts,
-        label=label,
-        lang=lang,
-        report=report,
-    )
-
-
 def preflight_specification(
     spec: "ResourceSpecification", platform: "Platform"
 ) -> PreflightResult:
     """Preflight a generated :class:`ResourceSpecification`.
 
-    Checks the *weakest common* hard requirements of the rendered
-    languages — the clock floor and the minimum host count — so the
+    Checks the single scope :func:`~repro.analysis.ir.lower_specification`
+    builds — the *weakest common* hard requirements of the rendered
+    languages, the clock floor on at least ``min_size`` hosts — so the
     verdict is sound for every backend: unsatisfiable here means no
     backend can ever fulfill the spec on this platform.
     """
-    constraint = parse_expression(f"Clock >= {spec.clock_min_mhz:.0f}")
-    return preflight_constraint(
-        constraint,
-        platform,
-        min_hosts=spec.min_size,
-        lang="spec",
-    )
+    return _preflight_scopes(ir.lower_specification(spec), platform, DiagnosticReport())
 
 
 def preflight_document(
@@ -244,120 +215,56 @@ def preflight_document(
         return PreflightResult(
             satisfiable=False, matching_hosts=0, required_hosts=0, report=report
         )
-    if lang == "vgdl":
-        return _preflight_vgdl_doc(doc, platform, report)
-    if lang == "classad":
-        return _preflight_classad_doc(doc, platform, report)
     if lang == "sword":
         return _preflight_sword_doc(doc, platform, report)
-    # JSON specification documents carry the spec itself; preflight the
-    # weakest-common hard requirements exactly like a generated spec.
-    spec = doc.source
-    result = preflight_specification(spec, platform)
-    report.extend(result.report)
-    return PreflightResult(
-        satisfiable=result.satisfiable,
-        matching_hosts=result.matching_hosts,
-        required_hosts=result.required_hosts,
-        report=report,
-        eliminating_clause=result.eliminating_clause,
-        trace=result.trace,
-    )
+    return _preflight_scopes(doc, platform, report)
 
 
-def _preflight_vgdl_doc(
+def _preflight_scopes(
     doc: ir.Document, platform: "Platform", report: DiagnosticReport
 ) -> PreflightResult:
-    """Preflight every aggregate scope; the worst one is the verdict.
+    """Preflight every constrained scope of a vgDL, ClassAd or
+    specification document; the first unsatisfiable one, else the first
+    one, is the verdict.
 
-    The combined size floor is also checked: aggregates are disjoint
-    collections, so their lower bounds add up.
+    A ClassAd request's bilateral ``Requirements`` is checked only when
+    no port carries a constraint.  A document with no constraint at all
+    is satisfiable by every host.  vgDL aggregates are disjoint
+    collections, so their lower bounds must also fit the platform
+    combined.  A JSON document's findings carry the ``spec`` tag, like
+    a generated spec's.
     """
-    worst: PreflightResult | None = None
-    total_lo = 0
-    for scope in doc.scopes:
-        total_lo += scope.min_hosts
-        assert scope.constraint is not None  # every aggregate carries one
-        res = _preflight_clauses(
-            scope.constraint.clauses,
-            platform,
-            min_hosts=scope.min_hosts,
-            label=None,
-            lang="vgdl",
-            report=report,
-        )
-        if worst is None or (not res.satisfiable and worst.satisfiable):
-            worst = res
-    if total_lo > platform.n_hosts:
-        report.add(
-            "SPEC202",
-            "error",
-            f"the aggregates need {total_lo} hosts combined but the platform "
-            f"has only {platform.n_hosts}",
-            "vgdl",
-        )
-    assert worst is not None  # parse_vgdl guarantees >= 1 aggregate
-    return PreflightResult(
-        satisfiable=not report.has_errors,
-        matching_hosts=worst.matching_hosts,
-        required_hosts=worst.required_hosts,
-        report=report,
-        eliminating_clause=worst.eliminating_clause,
-        trace=worst.trace,
-    )
-
-
-def _preflight_classad_doc(
-    doc: ir.Document, platform: "Platform", report: DiagnosticReport
-) -> PreflightResult:
-    """Preflight every Gangmatch port scope, falling back to the
-    bilateral ``Requirements`` when no port carries a constraint."""
-    worst: PreflightResult | None = None
-    request_scope: ir.Scope | None = None
-    for scope in doc.scopes:
-        if scope.kind == "request":
-            request_scope = scope
-            continue
-        if scope.constraint is None:
-            continue
+    lang = "spec" if doc.lang == "json" else doc.lang
+    scopes = [s for s in doc.scopes if s.constraint is not None and s.kind != "request"]
+    if not scopes:
+        scopes = [s for s in doc.scopes if s.constraint is not None]
+    verdict: PreflightResult | None = None
+    for scope in scopes:
         res = _preflight_clauses(
             scope.constraint.clauses,
             platform,
             min_hosts=scope.min_hosts,
             label=scope.label,
-            lang="classad",
+            lang=lang,
             report=report,
         )
-        if worst is None or (not res.satisfiable and worst.satisfiable):
-            worst = res
-    if (
-        worst is None
-        and request_scope is not None
-        and request_scope.constraint is not None
-    ):
-        worst = _preflight_clauses(
-            request_scope.constraint.clauses,
-            platform,
-            min_hosts=1,
-            label=None,
-            lang="classad",
-            report=report,
+        if verdict is None or (verdict.satisfiable and not res.satisfiable):
+            verdict = res
+    if doc.lang == "vgdl":
+        total_lo = sum(scope.min_hosts for scope in doc.scopes)
+        if total_lo > platform.n_hosts:
+            report.add(
+                "SPEC202",
+                "error",
+                f"the aggregates need {total_lo} hosts combined but the "
+                f"platform has only {platform.n_hosts}",
+                "vgdl",
+            )
+    if verdict is None:
+        verdict = PreflightResult(
+            satisfiable=True, matching_hosts=platform.n_hosts, required_hosts=0, report=report
         )
-    if worst is None:
-        return PreflightResult(
-            satisfiable=not report.has_errors,
-            matching_hosts=platform.n_hosts,
-            required_hosts=0,
-            report=report,
-        )
-    return PreflightResult(
-        satisfiable=not report.has_errors,
-        matching_hosts=worst.matching_hosts,
-        required_hosts=worst.required_hosts,
-        report=report,
-        eliminating_clause=worst.eliminating_clause,
-        trace=worst.trace,
-    )
+    return replace(verdict, satisfiable=not report.has_errors)
 
 
 def _preflight_sword_doc(

@@ -51,6 +51,7 @@ from typing import Any, Callable
 from repro.core.heuristic_model import HeuristicPredictionModel
 from repro.core.size_model import ObservationGrid, SizePredictionModel
 from repro.experiments import runner
+from repro.experiments.scales import SMOKE
 
 __all__ = ["main"]
 
@@ -80,14 +81,7 @@ def _save_model(model: Any, path: str, what: str) -> None:
         raise CliError(f"cannot write {what} to {path}: {exc}") from None
 
 _GRIDS = {
-    "tiny": ObservationGrid(
-        sizes=(60, 200),
-        ccrs=(0.01, 0.5),
-        parallelisms=(0.4, 0.6, 0.8),
-        regularities=(0.1, 0.8),
-        instances=1,
-        thresholds=(0.001, 0.01, 0.05, 0.10),
-    ),
+    "tiny": SMOKE.size_grid,
     "small": ObservationGrid(
         sizes=(100, 500, 1000, 2000),
         ccrs=(0.01, 0.3, 1.0),
@@ -647,7 +641,7 @@ def main(argv: list[str] | None = None) -> int:
         default=1.0,
         metavar="FRACTION",
         help="occupancy fraction at which brownout sheds optional work "
-        "(alternative specs, preflight, baselines, index refreshes); "
+        "(alternative specs, preflight, baselines); "
         "default 1.0 = only at full saturation",
     )
     p_srv.add_argument(

@@ -448,6 +448,9 @@ class ServiceConfig:
     max_inflight: int = 4
     #: Shuffles same-instant wakeup order only; outcomes are invariant.
     interleave_seed: int = 0
+    #: The ladder every request climbs.  Its ``deadline_s`` must stay
+    #: unbounded: the service bounds requests with :attr:`deadline_s` and
+    #: :attr:`TenantRequest.deadline_s` instead.
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     #: Default per-request virtual-time budget from arrival; a request
     #: still unfinished at its deadline aborts with ``deadline_exceeded``.
@@ -471,6 +474,11 @@ class ServiceConfig:
             raise ServiceError("max_inflight must be at least 1")
         if self.deadline_s <= 0:
             raise ServiceError("deadline_s must be positive")
+        if self.pipeline.deadline_s != math.inf:
+            raise ServiceError(
+                "pipeline.deadline_s is not read by the service; bound requests "
+                "with ServiceConfig.deadline_s or TenantRequest.deadline_s"
+            )
         if not 0.0 < self.brownout_threshold <= 1.0:
             raise ServiceError("brownout_threshold must be in (0, 1]")
         if self.breaker_threshold < 1:

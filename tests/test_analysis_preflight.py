@@ -1,20 +1,22 @@
 """Tests for the platform-aware satisfiability preflight."""
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.preflight import (
     cluster_ads,
-    preflight_constraint,
     preflight_document,
     preflight_specification,
 )
-from repro.core.generator import ResourceSpecification
+from repro.analysis.spec import detect_language
+from repro.core.generator import ResourceSpecification, request_specification
 from repro.experiments.chapter4 import build_universe
-from repro.experiments.scales import SMOKE
+from repro.experiments.scales import SMOKE, get_scale
 from repro.selection.classad import Matchmaker, machine_ads, parse_classad
-from repro.selection.classad.parser import parse_expression
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +48,7 @@ def test_cluster_ads_cover_every_host(platform):
 
 
 def test_satisfiable_constraint_reports_matching_hosts(platform):
-    result = preflight_constraint(parse_expression("Clock >= 2000"), platform)
+    result = preflight_document("[ Requirements = Clock >= 2000 ]", platform, "classad")
     assert result.satisfiable
     assert 0 < result.matching_hosts <= platform.n_hosts
     assert result.eliminating_clause is None
@@ -54,8 +56,8 @@ def test_satisfiable_constraint_reports_matching_hosts(platform):
 
 
 def test_impossible_clause_named_as_eliminator(platform):
-    expr = parse_expression('Type == "Machine" && Clock >= 99999')
-    result = preflight_constraint(expr, platform)
+    text = '[ Requirements = Type == "Machine" && Clock >= 99999 ]'
+    result = preflight_document(text, platform, "classad")
     assert not result.satisfiable
     assert result.matching_hosts == 0
     assert "Clock >= 99999" in result.eliminating_clause
@@ -66,9 +68,11 @@ def test_impossible_clause_named_as_eliminator(platform):
 
 
 def test_capacity_shortfall_is_spec202(platform):
-    result = preflight_constraint(
-        parse_expression("Clock >= 2000"), platform, min_hosts=platform.n_hosts + 1
+    text = (
+        f"[ Ports = {{ [ Label = cpu; Count = {platform.n_hosts + 1}; "
+        "Constraint = cpu.Clock >= 2000 ] } ]"
     )
+    result = preflight_document(text, platform, "classad")
     assert not result.satisfiable
     assert result.report.codes() == ["SPEC202"]
 
@@ -142,3 +146,108 @@ def test_per_host_clause_eliminates_no_cluster(platform, spec, clause):
     assert "SPEC201" not in result.report.codes()
     gang = Matchmaker(machine_ads(platform)).gangmatch(parse_classad(text))
     assert gang is not None and len(gang.machines) == spec.size
+
+
+# ----------------------------------------------------------------------
+# Golden digest: preflight verdicts pinned across changes
+# ----------------------------------------------------------------------
+EXAMPLE_SPECS = sorted(
+    p
+    for p in (Path(__file__).resolve().parent.parent / "examples" / "specs").iterdir()
+    if p.suffix != ".md"
+)
+
+#: Documents for the scope rules no rendered spec reaches: two ports or
+#: two aggregates where the second cannot match, a combined aggregate
+#: floor larger than the platform, a bilateral ``Requirements`` beside a
+#: port with a constraint (not checked) and beside one without (checked),
+#: a bilateral ``Requirements`` alone, an ad with no constraint at all,
+#: and a vgDL bare-string ``OpSys``.
+HAND_WRITTEN = [
+    (
+        "classad",
+        "[ Ports = { [ Label = a; Count = 2; Constraint = a.Clock >= 2000 ],"
+        " [ Label = b; Count = 1; Constraint = b.Clock >= 99999 ] } ]",
+    ),
+    (
+        "vgdl",
+        "VG = ClusterOf(a) [2:4] { a = [ (Clock >= 2000) ] } CloseTo"
+        " LooseBagOf(b) [1:2] { b = [ (Clock >= 99999) ] }",
+    ),
+    (
+        "vgdl",
+        "VG = LooseBagOf(a) [5000:5000] { a = [ (Clock >= 0) ] } FarFrom"
+        " LooseBagOf(b) [5000:5000] { b = [ (Clock >= 0) ] }",
+    ),
+    (
+        "classad",
+        "[ Requirements = Clock >= 99999;"
+        " Ports = { [ Label = cpu; Count = 2; Constraint = cpu.Clock >= 2000 ] } ]",
+    ),
+    (
+        "classad",
+        "[ Requirements = Clock >= 3000;"
+        " Ports = { [ Label = cpu; Count = 4; Rank = cpu.Clock ] } ]",
+    ),
+    ("classad", '[ Requirements = Clock >= 3500 && OpSys == "LINUX"; Rank = Clock ]'),
+    ("classad", '[ Type = "Job"; Owner = "nobody" ]'),
+    ("vgdl", "VG = LooseBagOf(n) [2:8] { n = [ (OpSys == LINUX && Clock >= 2000) ] }"),
+]
+
+#: sha256 over the canonical JSON of every preflight below, on the
+#: ``smoke`` and ``small`` universes built with seed 0: satisfiable,
+#: matching and required hosts, the eliminating clause, the trace and
+#: every diagnostic.  Any change to which scopes the preflight checks,
+#: or to a clause's verdict or message, changes this value; so does a
+#: new file under ``examples/specs``.
+GOLDEN_PREFLIGHT_SHA256 = "7ee7b53dccc496a1aad1b9373e68ff9311e928cbb12bd18fc2a8d9b3160ee430"
+
+
+def _golden_corpus():
+    for size in (1, 4, 33, 90, 600, 5000):
+        for clock in (2.0, 3.0, 3.5, 3.6, 9.0):
+            for tolerance in (0.0, 0.3):
+                spec = request_specification(
+                    "mcp",
+                    size,
+                    clock_ghz=clock,
+                    heterogeneity_tolerance=tolerance,
+                    ccr=0.01 if size % 2 else 0.5,
+                    threshold=0.01,
+                    dag_name="montage",
+                )
+                yield "spec", spec
+                yield "vgdl", spec.to_vgdl()
+                yield "classad", spec.to_classad()
+                yield "sword", spec.to_sword_xml()
+                yield "json", json.dumps(spec.to_dict())
+    for path in EXAMPLE_SPECS:
+        text = path.read_text(encoding="utf-8")
+        yield detect_language(text, path.name), text
+    yield from HAND_WRITTEN
+
+
+def _record(result):
+    return {
+        "satisfiable": result.satisfiable,
+        "matching_hosts": result.matching_hosts,
+        "required_hosts": result.required_hosts,
+        "eliminating_clause": result.eliminating_clause,
+        "trace": result.trace,
+        "diagnostics": [d.to_dict() for d in result.report],
+    }
+
+
+def test_preflight_matches_the_golden_digest():
+    records = []
+    for scale in ("smoke", "small"):
+        universe = build_universe(get_scale(scale), seed=0)
+        for lang, item in _golden_corpus():
+            if lang == "spec":
+                result = preflight_specification(item, universe)
+            else:
+                result = preflight_document(item, universe, lang)
+            records.append([scale, lang, _record(result)])
+    assert any(not r[2]["satisfiable"] for r in records)
+    blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_PREFLIGHT_SHA256

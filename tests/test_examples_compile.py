@@ -1,8 +1,9 @@
 """The example scripts stay syntactically valid and import-clean.
 
-Full runs train models (minutes); exercised manually and in the examples'
-own documentation. Here we compile each script and verify that everything
-it imports from the library resolves.
+Full runs train small models and take up to about 10 s each, so CI's
+``test`` job runs every script end to end in a step of its own. Here we
+compile each script and verify that everything it imports from the
+library resolves.
 """
 
 import ast

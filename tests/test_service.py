@@ -243,6 +243,14 @@ def test_request_and_config_validation(small_platform, small_montage):
         ServiceConfig(queue_capacity=-1)
 
 
+def test_bounded_pipeline_deadline_is_refused():
+    # The service bounds requests with its own two deadlines and never
+    # reads the pipeline's, so a bounded one would be silently ignored.
+    with pytest.raises(ServiceError, match="ServiceConfig.deadline_s or TenantRequest.deadline_s"):
+        ServiceConfig(pipeline=PipelineConfig(deadline_s=1e-6))
+    assert ServiceConfig(pipeline=PipelineConfig(), deadline_s=1e-6).deadline_s == 1e-6
+
+
 def test_make_spec_shapes_specification(small_montage):
     spec = make_spec(small_montage, 10, clock_ghz=2.0, heterogeneity_tolerance=0.5)
     assert spec.size == 10

@@ -1,8 +1,8 @@
 """Core weighted-DAG data structure.
 
-A :class:`DAG` stores a task graph in flat numpy arrays so that the
-schedulers in :mod:`repro.scheduling` never touch per-task Python objects in
-their inner loops:
+A :class:`DAG` stores a task graph in flat numpy arrays, from which each
+scheduling run derives the views its inner loops want (numpy vectors over
+hosts, Python lists over a task's parents or children):
 
 * ``comp`` — per-task computational cost in seconds on the reference CPU
   (the paper's ``w_v``),
@@ -189,14 +189,16 @@ class DAG:
         Includes both endpoint node weights; includes edge weights when
         ``include_comm`` is true (MCP's ``BL`` definition, Fig. IV-2).
         """
-        bl = self.comp.copy()
-        edge_comm = self.edge_comm if include_comm else np.zeros(self.m)
-        for u in self.topo_order[::-1]:
-            out = self.out_edges(u)
-            if out.size:
-                cand = bl[self.edge_dst[out]] + edge_comm[out]
-                bl[u] = self.comp[u] + cand.max()
-        return bl
+        comp = self.comp.tolist()
+        bl = list(comp)
+        children = self.edge_dst[self.succ_edges].tolist()
+        comm = self.edge_comm[self.succ_edges].tolist() if include_comm else [0.0] * self.m
+        index = self.succ_index.tolist()
+        for u in reversed(self.topo_order.tolist()):
+            lo, hi = index[u], index[u + 1]
+            if lo < hi:
+                bl[u] = comp[u] + max([bl[children[k]] + comm[k] for k in range(lo, hi)])
+        return np.array(bl, dtype=np.float64)
 
     def top_levels(self, include_comm: bool = True) -> np.ndarray:
         """Length of the longest path from an entry node up to (excluding)

@@ -1,10 +1,13 @@
 """Shared machinery for the list schedulers.
 
 The inner loops are vectorised over hosts: for each task we build the
-length-``p`` array of earliest finish times and argmin it.  A fast path
-exploits homogeneous networks (the common case in Ch. V): the data-ready
-time is then identical on every host except the parents' own hosts, so one
-O(p) pass plus O(indeg) corrections suffice.
+length-``p`` array of earliest finish times and argmin it.  On an
+*equal-factor* network (every ``comm_factor`` entry the same, as in any
+single-cluster RC) a task's data-ready time is one value ``R`` on every host
+that holds none of its parents, so one Python pass over the parents finds
+``R`` and the ready time on each parent host; a task then costs
+O(in-degree) plus a fixed handful of length-``p`` numpy operations.  Other
+networks take one O(p) pass per parent.
 
 Operation counts (``Schedule.ops``) are *analytic*, reflecting the paper's
 implementation complexity (e.g. MCP examines every host for every task:
@@ -82,12 +85,69 @@ class SchedulerState:
         self.host = np.full(self.dag.n, -1, dtype=np.int64)
         self.finish = np.full(self.dag.n, np.nan, dtype=np.float64)
         self.start = np.full(self.dag.n, np.nan, dtype=np.float64)
-        self._homog_net = bool(np.all(self.rc.comm_factor == self.rc.comm_factor.flat[0]))
-        self._net_factor = float(self.rc.comm_factor.flat[0])
+        factor = self.rc.comm_factor
+        #: The one factor of an equal-factor network, else ``None``.
+        self._net_factor = (
+            float(factor.flat[0]) if bool(np.all(factor == factor.flat[0])) else None
+        )
+        # Every task's in-edges as Python lists (parent, edge cost), in
+        # ``DAG.pred_edges`` order, for the equal-factor parent pass.
+        pred = self.dag.pred_edges
+        self._pred_index = self.dag.pred_index.tolist()
+        self._pred_src = self.dag.edge_src[pred].tolist()
+        self._pred_comm = self.dag.edge_comm[pred].tolist()
 
     # ------------------------------------------------------------------
+    def _equal_factor_ready(self, v: int) -> tuple[float, dict[int, float]]:
+        """Data-ready times of ``v`` on an equal-factor network.
+
+        Returns ``R``, the time on every host that holds none of ``v``'s
+        parents, and ``{host: time}`` for each host that holds some.  With
+        ``r_u = f_u + c_u * factor`` the arrival of parent ``u`` elsewhere,
+        ``R = max r_u`` (0.0 for an entry task), and a parent host is ready
+        at ``max(its parents' largest finish, the largest r_u of parents
+        on other hosts, 0.0)``.  The latter comes from the two largest
+        per-host maxima of ``r_u``, so the pass stays O(in-degree).
+        """
+        lo, hi = self._pred_index[v], self._pred_index[v + 1]
+        if lo == hi:
+            return 0.0, {}
+        factor = self._net_factor
+        finish, host = self.finish, self.host
+        local: dict[int, float] = {}
+        remote: dict[int, float] = {}
+        for k in range(lo, hi):
+            u = self._pred_src[k]
+            f = finish.item(u)
+            h = host.item(u)
+            r = f + self._pred_comm[k] * factor
+            if h in local:
+                if f > local[h]:
+                    local[h] = f
+                if r > remote[h]:
+                    remote[h] = r
+            else:
+                local[h] = f
+                remote[h] = r
+        top = second = -math.inf
+        top_host = -1
+        for h, r in remote.items():
+            if r > top:
+                top, second, top_host = r, top, h
+            elif r > second:
+                second = r
+        return top, {
+            h: max(f, second if h == top_host else top, 0.0) for h, f in local.items()
+        }
+
     def data_ready_all_hosts(self, v: int) -> np.ndarray:
         """Earliest time task ``v``'s inputs are present on each host."""
+        if self._net_factor is not None:
+            elsewhere, at_parents = self._equal_factor_ready(v)
+            ready = np.full(self.rc.n_hosts, elsewhere)
+            for h, t in at_parents.items():
+                ready[h] = t
+            return ready
         dag, rc = self.dag, self.rc
         p = rc.n_hosts
         in_edges = dag.in_edges(v)
@@ -97,31 +157,6 @@ class SchedulerState:
         pfin = self.finish[parents]
         wcomm = dag.edge_comm[in_edges]
         phosts = self.host[parents]
-        if self._homog_net:
-            # On every host the ready time is max over parents of the
-            # remote arrival, except on hosts holding parents where those
-            # parents' transfers are free.  Group parents by host and use
-            # the top-2 trick for "max excluding this host's group".
-            remote = pfin + wcomm * self._net_factor
-            ready = np.full(p, remote.max())
-            order = np.argsort(phosts, kind="stable")
-            ph_sorted = phosts[order]
-            starts = np.concatenate(
-                ([0], np.flatnonzero(ph_sorted[1:] != ph_sorted[:-1]) + 1)
-            )
-            g_remote = np.maximum.reduceat(remote[order], starts)
-            g_local = np.maximum.reduceat(pfin[order], starts)
-            hosts_unique = ph_sorted[starts]
-            i1 = int(g_remote.argmax())
-            m1 = float(g_remote[i1])
-            if g_remote.size > 1:
-                m2 = float(np.delete(g_remote, i1).max())
-            else:
-                m2 = -np.inf
-            for idx in range(hosts_unique.size):
-                off = m2 if idx == i1 else m1
-                ready[hosts_unique[idx]] = max(float(g_local[idx]), off, 0.0)
-            return ready
         ready = np.zeros(p, dtype=np.float64)
         clusters = rc.cluster
         for k in range(parents.size):
@@ -133,6 +168,9 @@ class SchedulerState:
 
     def data_ready_on_host(self, v: int, h: int) -> float:
         """Earliest time task ``v``'s inputs are present on host ``h``."""
+        if self._net_factor is not None:
+            elsewhere, at_parents = self._equal_factor_ready(v)
+            return float(at_parents.get(h, elsewhere))
         dag, rc = self.dag, self.rc
         in_edges = dag.in_edges(v)
         if in_edges.size == 0:
@@ -144,10 +182,7 @@ class SchedulerState:
         same = phosts == h
         t = pfin[same].max() if same.any() else 0.0
         if (~same).any():
-            if self._homog_net:
-                factors = np.full(int((~same).sum()), self._net_factor)
-            else:
-                factors = rc.comm_factor[rc.cluster[phosts[~same]], rc.cluster[h]]
+            factors = rc.comm_factor[rc.cluster[phosts[~same]], rc.cluster[h]]
             t = max(t, float((pfin[~same] + wcomm[~same] * factors).max()))
         return float(t)
 
@@ -160,18 +195,18 @@ class SchedulerState:
         self.avail[h] = start + w
 
     def best_finish_host(self, v: int) -> tuple[int, float]:
-        """Host minimising the finish time of ``v`` (MCP's rule)."""
-        ready = self.data_ready_all_hosts(v)
-        start = np.maximum(ready, self.avail)
+        """Host minimising the finish time of ``v`` (MCP's rule; the first
+        such host on ties) and ``v``'s start time there."""
+        avail = self.avail
+        if self._net_factor is None:
+            start = np.maximum(self.data_ready_all_hosts(v), avail)
+        else:
+            elsewhere, at_parents = self._equal_factor_ready(v)
+            start = np.maximum(avail, elsewhere)
+            for h, t in at_parents.items():
+                start[h] = max(avail.item(h), t)
         fin = start + self.dag.comp[v] / self.rc.speed
         h = int(fin.argmin())
-        return h, float(start[h])
-
-    def best_start_host(self, v: int) -> tuple[int, float]:
-        """Host minimising the start time of ``v`` (greedy's rule)."""
-        ready = self.data_ready_all_hosts(v)
-        start = np.maximum(ready, self.avail)
-        h = int(start.argmin())
         return h, float(start[h])
 
     def result(self, heuristic: str) -> Schedule:

@@ -15,13 +15,12 @@ execution order is the order of start times.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.dag.graph import DAG
 from repro.resources.collection import ResourceCollection
 from repro.scheduling.base import Schedule, SchedulerState, log2ceil, register_scheduler
+from repro.scheduling.heuristics.mcp import mcp_order
 
 __all__ = ["schedule_mcp_insertion"]
 
@@ -62,18 +61,8 @@ def schedule_mcp_insertion(dag: DAG, rc: ResourceCollection) -> Schedule:
     p = rc.n_hosts
     timelines = [_HostTimeline() for _ in range(p)]
 
-    bl = dag.bottom_levels(include_comm=True)
-    alap = bl.max() - bl
-    min_child_alap = np.full(dag.n, np.inf)
-    if dag.m:
-        np.minimum.at(min_child_alap, dag.edge_src, alap[dag.edge_dst])
     state.ops += dag.m + dag.n * log2ceil(dag.n)
-
-    indeg = dag.in_degree.copy()
-    heap = [(float(alap[v]), float(min_child_alap[v]), int(v)) for v in dag.entry_nodes]
-    heapq.heapify(heap)
-    while heap:
-        _, _, v = heapq.heappop(heap)
+    for v in mcp_order(dag):
         ready = state.data_ready_all_hosts(v)
         best_h = -1
         best_start = 0.0
@@ -92,8 +81,4 @@ def schedule_mcp_insertion(dag: DAG, rc: ResourceCollection) -> Schedule:
         timelines[best_h].occupy(best_start, best_finish)
         state.avail[best_h] = max(state.avail[best_h], best_finish)
         state.ops += (dag.in_degree[v] + 1) * p
-        for u in dag.children(v):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(heap, (float(alap[u]), float(min_child_alap[u]), int(u)))
     return state.result("mcp_insertion")

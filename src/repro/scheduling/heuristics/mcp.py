@@ -29,7 +29,38 @@ from repro.dag.graph import DAG
 from repro.resources.collection import ResourceCollection
 from repro.scheduling.base import Schedule, SchedulerState, log2ceil, register_scheduler
 
-__all__ = ["schedule_mcp"]
+__all__ = ["schedule_mcp", "mcp_order"]
+
+
+def mcp_order(dag: DAG) -> list[int]:
+    """MCP's task order: a ready queue popped by (ALAP, smallest child
+    ALAP, id).
+
+    Whether a task is ready depends only on which tasks were popped before
+    it, never on times, so the order is a function of the DAG alone.
+    """
+    bl = dag.bottom_levels(include_comm=True)
+    alap = bl.max() - bl
+    # Tie-break key: smallest ALAP among children (first element of the
+    # descendant ALAP list after the node's own).
+    min_child_alap = np.full(dag.n, np.inf)
+    if dag.m:
+        np.minimum.at(min_child_alap, dag.edge_src, alap[dag.edge_dst])
+    keys = list(zip(alap.tolist(), min_child_alap.tolist(), range(dag.n)))
+    children = dag.edge_dst[dag.succ_edges].tolist()
+    child_index = dag.succ_index.tolist()
+    indeg = dag.in_degree.tolist()
+    heap = [keys[v] for v in dag.entry_nodes.tolist()]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        v = heapq.heappop(heap)[2]
+        order.append(v)
+        for u in children[child_index[v] : child_index[v + 1]]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                heapq.heappush(heap, keys[u])
+    return order
 
 
 @register_scheduler("mcp")
@@ -37,35 +68,9 @@ def schedule_mcp(dag: DAG, rc: ResourceCollection) -> Schedule:
     """Schedule ``dag`` on ``rc`` with MCP."""
     state = SchedulerState(dag, rc)
     p = rc.n_hosts
-
-    bl = dag.bottom_levels(include_comm=True)
-    cp = bl.max()
-    alap = cp - bl
-
-    # Tie-break key: smallest ALAP among children (first element of the
-    # descendant ALAP list after the node's own).
-    min_child_alap = np.full(dag.n, np.inf)
-    if dag.m:
-        np.minimum.at(min_child_alap, dag.edge_src, alap[dag.edge_dst])
-
     state.ops += dag.m + dag.n * log2ceil(dag.n)
-
-    indeg = dag.in_degree.copy()
-    heap: list[tuple[float, float, int]] = [
-        (float(alap[v]), float(min_child_alap[v]), int(v)) for v in dag.entry_nodes
-    ]
-    heapq.heapify(heap)
-    scheduled = 0
-    while heap:
-        _, _, v = heapq.heappop(heap)
+    for v in mcp_order(dag):
         h, start = state.best_finish_host(v)
         state.place(v, h, start)
         state.ops += (dag.in_degree[v] + 1) * p
-        scheduled += 1
-        for u in dag.children(v):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(heap, (float(alap[u]), float(min_child_alap[u]), int(u)))
-    if scheduled != dag.n:  # pragma: no cover - DAG guarantees acyclicity
-        raise RuntimeError("MCP failed to schedule all tasks")
     return state.result("mcp")

@@ -1,6 +1,11 @@
 """Tests for the chapter runner CLI (smoke scale, cheapest chapter only)."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +276,35 @@ def test_runner_prunes_stale_cache_tmp_files(monkeypatch, tmp_path):
         == 0
     )
     assert not stale.exists()
+
+
+#: sha256 of ``python -m repro.experiments.runner --all --scale smoke
+#: --no-cache`` stdout, lines joined by newlines, without the wall-clock
+#: lines (those containing ``done in``, and the ``[training]`` progress
+#: lines).  Every table of chapters 4-7 goes through the schedulers, so a
+#: scheduler change that moves any schedule changes this value.
+GOLDEN_CHAPTER_TABLES_SHA256 = "de0ab144a6644e906d1b78323de04311f6b563be1f3a343fbd1f0edfd7bd5ecc"
+
+
+@pytest.mark.slow
+def test_smoke_chapter_tables_match_the_golden_digest(tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.runner", "--all", "--scale", "smoke",
+         "--no-cache"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=900,
+        check=True,
+    )
+    kept = [
+        line
+        for line in proc.stdout.splitlines()
+        if "done in" not in line and not line.startswith("[training]")
+    ]
+    digest = hashlib.sha256("\n".join(kept).encode()).hexdigest()
+    assert digest == GOLDEN_CHAPTER_TABLES_SHA256
+    assert list(tmp_path.iterdir()) == []  # --no-cache wrote nothing

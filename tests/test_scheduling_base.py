@@ -10,7 +10,8 @@ from repro.scheduling.base import SchedulerState, log2ceil
 
 
 def _brute_force_ready(dag, rc, state, v):
-    """Reference EST computation, one host at a time."""
+    """Reference EST computation, one host at a time, with the same float
+    operations as the scheduler (so results are compared exactly)."""
     p = rc.n_hosts
     ready = np.zeros(p)
     for h in range(p):
@@ -45,7 +46,7 @@ def test_data_ready_all_hosts_matches_brute_force(rng, het_net):
     for v in dag.topo_order:
         ready = state.data_ready_all_hosts(int(v))
         expected = _brute_force_ready(dag, rc, state, int(v))
-        np.testing.assert_allclose(ready, expected, atol=1e-9)
+        np.testing.assert_array_equal(ready, expected)
         h = int(hosts[v])
         start = max(ready[h], state.avail[h])
         state.place(int(v), h, start)
@@ -60,7 +61,7 @@ def test_data_ready_on_host_consistent(rng, networked_rc):
     for v in dag.topo_order:
         all_hosts = state.data_ready_all_hosts(int(v))
         for h in (0, 3, 5, 7):
-            assert state.data_ready_on_host(int(v), h) == pytest.approx(all_hosts[h])
+            assert state.data_ready_on_host(int(v), h) == all_hosts[h]
         h = int(hosts[v])
         state.place(int(v), h, max(all_hosts[h], state.avail[h]))
 
@@ -87,9 +88,9 @@ def test_place_respects_speed(diamond_dag):
     assert state.finish[0] == pytest.approx(2.0)
 
 
-def test_best_finish_vs_best_start():
-    # Host 1 busy until t=1 but data is only ready remotely at t=10 on any
-    # other host: best-start picks an idle host, best-finish weighs speed.
+def test_best_finish_colocates_to_avoid_transfer():
+    # Host 0 is busy until t=1, but the data only arrives on any other host
+    # at t=11: finishing soonest means co-locating with the parent.
     dag = dag_from_edges([1.0, 1.0], [(0, 1, 10.0)])
     rc = ResourceCollection.homogeneous(3)
     state = SchedulerState(dag, rc)
@@ -97,9 +98,34 @@ def test_best_finish_vs_best_start():
     h_fin, start_fin = state.best_finish_host(1)
     assert h_fin == 0  # co-location avoids the 10 s transfer
     assert start_fin == pytest.approx(1.0)
-    h_start, start_start = state.best_start_host(1)
-    assert h_start == 0
-    assert start_start == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("het_net", [False, True])
+def test_best_finish_host_is_the_first_brute_force_argmin(rng, het_net):
+    # Unit costs and no communication on identical hosts: every empty host
+    # ties, so the rule must pick the first of them, as argmin does.
+    shape = generate_random_dag(
+        RandomDagSpec(size=40, ccr=0.0, parallelism=0.6, regularity=0.5, density=0.8), rng
+    )
+    dag = dag_from_edges(
+        np.ones(shape.n), zip(shape.edge_src.tolist(), shape.edge_dst.tolist(), [0.0] * shape.m)
+    )
+    if het_net:
+        rc = ResourceCollection(
+            speed=np.ones(6), cluster=np.repeat(np.arange(3), 2), comm_factor=np.eye(3) + 1.0
+        )
+    else:
+        rc = ResourceCollection.homogeneous(6)
+    state = SchedulerState(dag, rc)
+    for v in dag.topo_order:
+        v = int(v)
+        ready = _brute_force_ready(dag, rc, state, v)
+        start = [max(ready[h], state.avail[h]) for h in range(rc.n_hosts)]
+        finish = [start[h] + dag.comp[v] / rc.speed[h] for h in range(rc.n_hosts)]
+        expected = min(range(rc.n_hosts), key=finish.__getitem__)
+        assert state.best_finish_host(v) == (expected, start[expected])
+        state.place(v, expected, start[expected])
+    assert len(set(state.host.tolist())) > 1
 
 
 def test_parents_sharing_host():
@@ -112,6 +138,25 @@ def test_parents_sharing_host():
     ready = state.data_ready_all_hosts(2)
     assert ready[0] == pytest.approx(5.0)
     assert ready[1] == pytest.approx(55.0)
+
+
+def test_top_arrival_from_a_host_holding_two_parents():
+    # Parents 0 and 1 on host 0 arrive elsewhere at 1 + 20 and 4 + 10,
+    # parent 2 on host 1 at 3 + 5.  Host 0 must see only host 1's arrival,
+    # not its own second-largest one, next to its own parents' finish, 4.
+    dag = dag_from_edges(
+        [1.0, 3.0, 3.0, 1.0], [(0, 3, 20.0), (1, 3, 10.0), (2, 3, 5.0)]
+    )
+    rc = ResourceCollection.homogeneous(3)
+    state = SchedulerState(dag, rc)
+    state.place(0, 0, 0.0)
+    state.place(1, 0, 1.0)
+    state.place(2, 1, 0.0)
+    ready = state.data_ready_all_hosts(3)
+    np.testing.assert_array_equal(ready, [8.0, 21.0, 21.0])
+    np.testing.assert_array_equal(ready, _brute_force_ready(dag, rc, state, 3))
+    assert [state.data_ready_on_host(3, h) for h in range(3)] == [8.0, 21.0, 21.0]
+    assert state.best_finish_host(3) == (0, 8.0)
 
 
 def test_log2ceil():

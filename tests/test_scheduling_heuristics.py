@@ -1,13 +1,19 @@
 """Tests for the scheduling heuristics: validity, replay agreement,
 behavioural properties."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dag.graph import dag_from_edges
+from repro.core.knee import PrefixRCFactory
+from repro.dag.graph import DAG, dag_from_edges
+from repro.dag.montage import montage_dag, montage_level_counts
 from repro.dag.random_dag import RandomDagSpec, generate_random_dag
 from repro.dag.workflows import chain_dag, fork_join_dag, scec_dag
+from repro.experiments.chapter4 import build_universe
+from repro.experiments.scales import get_scale
 from repro.resources.collection import ResourceCollection
 from repro.scheduling import (
     get_scheduler,
@@ -201,3 +207,69 @@ def test_property_schedules_valid_and_replayable(size, alpha, ccr, hosts, het, n
     r = replay_schedule(dag, rc, s)
     np.testing.assert_allclose(r.start, s.start, atol=1e-6)
     np.testing.assert_allclose(r.finish, s.finish, atol=1e-6)
+
+
+#: sha256 over every schedule of :func:`_golden_cases`, for every
+#: registered heuristic: each schedule's ``host``, ``start`` and
+#: ``finish`` bytes and ``float(ops).hex()``.  Byte-identical schedules
+#: are the contract of every change to the scheduler kernel, so any
+#: change to a placement, a tie-break, a float operation or an op count
+#: changes this value.
+GOLDEN_SCHEDULES_SHA256 = "bf62265952948bcb9701e4916d4ec90b56c43fac064a92d0128b5dda7cae5744"
+
+
+def _golden_cases():
+    """The fixed DAG x RC corpus the golden schedule digest runs over."""
+    rng = np.random.default_rng(11)
+    dags = [
+        montage_dag(montage_level_counts(levels), ccr=ccr)
+        for levels in (3, 10)
+        for ccr in (0.01, 0.5)
+    ]
+    # Unit costs and no communication: equal finish times everywhere, so
+    # every host-choice and task-order tie-break is exercised.
+    shape = generate_random_dag(
+        RandomDagSpec(size=60, ccr=0.0, parallelism=0.5, regularity=0.5, density=0.6), rng
+    )
+    dags.append(DAG(np.ones(shape.n), shape.edge_src, shape.edge_dst, np.zeros(shape.m)))
+    dags.append(
+        generate_random_dag(
+            RandomDagSpec(size=50, ccr=1.0, parallelism=0.6, regularity=0.5, density=1.0), rng
+        )
+    )
+    prefix = PrefixRCFactory(54, mean_speed=1.25)
+    rcs = [prefix(size) for size in (1, 7, 16, 54)]
+    rcs.append(PrefixRCFactory(16, heterogeneity=0.3, mean_speed=1.25, seed=0)(16))
+    smoke = build_universe(get_scale("smoke"), 0)
+    # Hosts spread over every site (differing factors), and two clusters
+    # of one site (every factor equal).
+    rcs.append(smoke.rc_from_hosts(np.arange(0, smoke.n_hosts, 37)))
+    rcs.append(smoke.rc_from_hosts(np.flatnonzero(np.isin(smoke.host_cluster, (1, 2)))))
+    # Equal factors other than 1.0 over mixed speeds.
+    rcs.append(
+        ResourceCollection(
+            speed=np.array([1.0, 2.0, 0.5, 1.25, 1.0, 2.0]),
+            cluster=np.array([0, 0, 1, 1, 2, 2]),
+            comm_factor=np.full((3, 3), 0.5),
+        )
+    )
+    return dags, rcs
+
+
+def test_schedules_match_the_golden_digest():
+    dags, rcs = _golden_cases()
+    equal = [bool(np.all(rc.comm_factor == rc.comm_factor.flat[0])) for rc in rcs]
+    assert not all(equal) and any(equal[-3:])
+    names = list_schedulers()
+    assert names == [
+        "dls", "fca", "fcfs", "greedy", "heft", "mcp", "mcp_insertion", "minmin", "random",
+    ]
+    digest = hashlib.sha256()
+    for name in names:
+        for dag in dags:
+            for rc in rcs:
+                s = schedule_dag(name, dag, rc)
+                for arr in (s.host, s.start, s.finish):
+                    digest.update(arr.tobytes())
+                digest.update(float(s.ops).hex().encode())
+    assert digest.hexdigest() == GOLDEN_SCHEDULES_SHA256

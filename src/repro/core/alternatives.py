@@ -10,6 +10,18 @@ the original turn-around.
 :func:`clock_size_tradeoff` computes the Fig. VII-6 surface by actually
 scheduling the DAG; :func:`alternative_specifications` ranks degraded
 specifications by predicted turn-around.
+
+The ranking reads few cells of the surface, so it schedules only those,
+with the same result as scheduling them all:
+
+1. a band's sizes are tried in increasing order up to the first whose
+   turn-around meets the target, the only size it then reads;
+2. under MCP and FCA a band also stops at the first schedule that leaves
+   a host unused, since every larger size repeats that schedule at a
+   higher scheduling cost (see :func:`~repro.core.knee.sweep_turnaround`);
+3. asked for the best ``limit`` alternatives, it skips a band whose
+   computation-only critical path is already longer than the
+   ``limit``-th best turn-around found, since no schedule beats it.
 """
 
 from __future__ import annotations
@@ -87,13 +99,15 @@ def alternative_specifications(
     slack: float = 0.05,
     cost_model: SchedulingCostModel = DEFAULT_COST_MODEL,
     platform: "Platform | None" = None,
+    limit: int | None = None,
 ) -> list[tuple[ResourceSpecification, float]]:
     """Ranked alternatives when ``spec`` cannot be fulfilled.
 
     For every available clock band at or below the original request,
     find the smallest RC size whose turn-around is within ``slack`` of the
     original predicted turn-around; emit one degraded specification per
-    feasible band, best predicted turn-around first.
+    feasible band, best predicted turn-around first (stably, so a faster
+    band wins a tie).
 
     When *every* available band is faster than the original request, the
     request is trivially fulfillable on any of them: each faster band is
@@ -105,7 +119,28 @@ def alternative_specifications(
     platform's host count — an alternative requesting more hosts than
     exist is statically unsatisfiable and would only be pruned again by
     the pipeline's preflight.
+
+    The search is lazy and exact: the result is what scheduling every
+    (band, size) cell of the Fig. VII-6 surface would give, cut to its
+    first ``limit`` entries (all of them when ``limit`` is None).
+
+    * A band is searched by :func:`sweep_turnaround` with
+      ``within=target``, which schedules sizes in increasing order and
+      stops at the first that meets the target, the only size read from
+      such a band; for MCP and FCA it also stops at the first schedule
+      that leaves a host unused, as no larger size can then meet the
+      target or lower the band's best turn-around.
+    * With a ``limit``, bands are visited fastest first, and a band is
+      skipped when its computation-only critical path at the band's
+      speed, times ``1 - 1e-9``, exceeds the ``limit``-th best
+      turn-around found so far.  No schedule on the band is shorter than
+      that path, so the band would rank behind those ``limit``.  The
+      margin covers the rounding of any chain under 10^6 tasks.
     """
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be non-negative")
+    if limit == 0:
+        return []
     if max_size is None:
         max_size = int(min(dag.n, max(8, 4 * spec.size)))
     if platform is not None:
@@ -126,13 +161,19 @@ def alternative_specifications(
 
     out: list[tuple[ResourceSpecification, float]] = []
     frac = spec.min_size / spec.size
+    chain = dag.critical_path_length(include_comm=False)
     for clock in candidates:
+        speed = clock / REFERENCE_CLOCK_GHZ
+        if limit is not None and len(out) >= limit:
+            kth = sorted(turn for _, turn in out)[limit - 1]
+            if chain / speed * (1.0 - 1e-9) > kth:
+                continue
         faster = clock > orig_clock + 1e-9
         band_max = min(max_size, spec.size) if faster else max_size
         sizes = rc_size_grid(band_max, step_frac=0.2)
-        speed = clock / REFERENCE_CLOCK_GHZ
         curve = sweep_turnaround(
-            dag, sizes, spec.heuristic, PrefixRCFactory(band_max, mean_speed=speed), cost_model
+            dag, sizes, spec.heuristic, PrefixRCFactory(band_max, mean_speed=speed), cost_model,
+            within=target,
         )
         needed = size_to_match(curve, target)
         if needed is None:
@@ -150,4 +191,4 @@ def alternative_specifications(
         )
         out.append((alt, float(turn)))
     out.sort(key=lambda t: t[1])
-    return out
+    return out[:limit]

@@ -126,24 +126,54 @@ def sweep_turnaround(
     heuristic: str = "mcp",
     rc_factory: Callable[[int], ResourceCollection] | None = None,
     cost_model: SchedulingCostModel = DEFAULT_COST_MODEL,
+    *,
+    within: float | None = None,
 ) -> TurnaroundCurve:
-    """Schedule ``dag`` on RCs of each size; return the turn-around curve."""
+    """Schedule ``dag`` on RCs of each size; return the turn-around curve.
+
+    Sizes are scheduled in increasing order.  By default every size is,
+    and the curve is whole: the knee, the chapter tables and model
+    training read all of it.  With ``within``, the sweep returns a prefix
+    of the curve that answers what the Fig. VII-6 search asks as the
+    whole curve would: the first size whose turn-around is ``<= within``
+    and its turn-around, or, when no size has one, ``best_size`` and
+    ``best_turnaround``.  It stops after
+
+    * the first size whose turn-around is ``<= within``; or
+    * for MCP and FCA on a homogeneous :class:`PrefixRCFactory`, the
+      first schedule that leaves a host unused.  That host stays empty,
+      so MCP (first host of least finish time) and FCA (first idle host)
+      each prefer it to every host a larger RC adds: every larger size
+      yields the same schedule, at no fewer operations, so none can meet
+      ``within`` or become the first-index minimum.
+
+    ``knee.sweep_points`` counts the sizes actually scheduled.
+    """
     sizes = np.asarray(sorted(int(s) for s in set(int(x) for x in sizes)), dtype=np.int64)
     if rc_factory is None:
         rc_factory = PrefixRCFactory(int(sizes.max()))
-    turn = np.empty(sizes.shape[0])
-    mksp = np.empty(sizes.shape[0])
-    sched = np.empty(sizes.shape[0])
+    idle_stops = (
+        within is not None
+        and heuristic in ("mcp", "fca")
+        and isinstance(rc_factory, PrefixRCFactory)
+        and rc_factory.heterogeneity == 0
+    )
+    turn: list[float] = []
+    mksp: list[float] = []
+    sched: list[float] = []
     with observe.span("sweep_turnaround"):
         observe.inc("knee.sweeps")
-        observe.inc("knee.sweep_points", int(sizes.shape[0]))
-        for i, p in enumerate(sizes):
-            rc = rc_factory(int(p))
-            s = schedule_dag(heuristic, dag, rc)
-            mksp[i] = s.makespan
-            sched[i] = cost_model.scheduling_time(s)
-            turn[i] = mksp[i] + sched[i]
-    return TurnaroundCurve(sizes, turn, mksp, sched, heuristic)
+        for p in sizes.tolist():
+            s = schedule_dag(heuristic, dag, rc_factory(p))
+            mksp.append(s.makespan)
+            sched.append(cost_model.scheduling_time(s))
+            turn.append(mksp[-1] + sched[-1])
+            if within is not None and (
+                turn[-1] <= within or (idle_stops and s.hosts_used() < p)
+            ):
+                break
+        observe.inc("knee.sweep_points", len(turn))
+    return TurnaroundCurve(sizes[: len(turn)], turn, mksp, sched, heuristic)
 
 
 def knee_from_curve(

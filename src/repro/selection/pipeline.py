@@ -371,12 +371,19 @@ def respecifications(
     dag: DAG, spec: ResourceSpecification, platform: Platform, max_respecs: int
 ) -> list[ResourceSpecification]:
     """The Fig. VII-6/7 alternatives to a refused ``spec`` on ``platform``,
-    capped at ``max_respecs``."""
+    capped at ``max_respecs`` (``[]``, with nothing scheduled, at 0)."""
+    if max_respecs == 0:
+        return []
     clocks = tuple(sorted({c.clock_ghz for c in platform.clusters}, reverse=True))
-    with observe.span("pipeline.respecify"):
-        alts = alternative_specifications(dag, spec, clocks, platform=platform)
     # Drop alternatives identical to the original request — retrying the
-    # same rung is the *retry* rung's job, not respecification.
+    # same rung is the *retry* rung's job, not respecification.  Only a
+    # band of the original's clock can give it back, so ranking that many
+    # bands beyond ``max_respecs`` is enough.
+    same = sum(1 for c in clocks if c * 1000.0 == spec.clock_max_mhz)
+    with observe.span("pipeline.respecify"):
+        alts = alternative_specifications(
+            dag, spec, clocks, platform=platform, limit=max_respecs + same
+        )
     original = (spec.size, spec.clock_min_mhz, spec.clock_max_mhz)
     return [
         a for a, _ in alts if (a.size, a.clock_min_mhz, a.clock_max_mhz) != original

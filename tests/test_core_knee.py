@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.observe as observe
 from repro.core.knee import (
     PrefixRCFactory,
     TurnaroundCurve,
@@ -128,3 +129,52 @@ def test_sweep_deduplicates_sizes(medium_dag):
 def test_sweep_makespan_dominated_by_work(medium_dag):
     curve = sweep_turnaround(medium_dag, [1], "mcp")
     assert curve.makespan[0] == pytest.approx(medium_dag.total_work())
+
+
+def _lazy(dag, sizes, heuristic, factory=None, *, within):
+    """A ``within`` sweep and the ``knee.sweep_points`` it counted."""
+    with observe.use_registry(observe.MetricsRegistry()) as reg:
+        curve = sweep_turnaround(dag, sizes, heuristic, factory, within=within)
+    return curve, reg.snapshot()["counters"]["knee.sweep_points"]
+
+
+def _assert_prefix(lazy, full):
+    n = lazy.sizes.shape[0]
+    for field in ("sizes", "turnaround", "makespan", "scheduling_time"):
+        assert getattr(lazy, field).tolist() == getattr(full, field)[:n].tolist()
+
+
+def test_sweep_within_stops_at_the_first_size_that_meets_it(medium_dag):
+    sizes = rc_size_grid(40)
+    full = sweep_turnaround(medium_dag, sizes, "greedy")
+    within = float(full.turnaround[6])
+    first = int(np.flatnonzero(full.turnaround <= within)[0])
+    lazy, points = _lazy(medium_dag, sizes, "greedy", within=within)
+    _assert_prefix(lazy, full)
+    assert lazy.sizes.shape[0] == points == first + 1
+
+
+@pytest.mark.parametrize("heuristic", ["mcp", "fca"])
+def test_sweep_within_stops_at_the_first_schedule_leaving_a_host_idle(heuristic):
+    # Six chains never occupy a seventh host, so from size 7 on every
+    # schedule is the one at size 7, at a higher scheduling cost.
+    dag = scec_dag(chains=6, chain_length=8, comp_cost=50.0, comm_cost=1.0)
+    sizes = rc_size_grid(12)
+    full = sweep_turnaround(dag, sizes, heuristic)
+    lazy, points = _lazy(dag, sizes, heuristic, within=0.0)
+    _assert_prefix(lazy, full)
+    assert lazy.sizes.tolist() == list(range(1, 8)) and points == 7
+    assert (lazy.best_size, lazy.best_turnaround) == (full.best_size, full.best_turnaround)
+
+
+@pytest.mark.parametrize(
+    "heuristic, factory",
+    [("dls", None), ("greedy", None), ("mcp", PrefixRCFactory(12, heterogeneity=0.3))],
+)
+def test_sweep_within_keeps_sweeping_where_an_idle_host_proves_nothing(heuristic, factory):
+    dag = scec_dag(chains=6, chain_length=8, comp_cost=50.0, comm_cost=1.0)
+    sizes = rc_size_grid(12)
+    full = sweep_turnaround(dag, sizes, heuristic, factory)
+    lazy, points = _lazy(dag, sizes, heuristic, factory, within=0.0)
+    _assert_prefix(lazy, full)
+    assert lazy.sizes.shape[0] == points == sizes.shape[0]

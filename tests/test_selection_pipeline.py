@@ -7,10 +7,11 @@ import pytest
 
 import repro.observe as observe
 from repro.analysis.passes import subsumes
+from repro.core.alternatives import alternative_specifications
 from repro.core.generator import ResourceSpecification, request_specification
 from repro.dag.montage import montage_dag, montage_level_counts
 from repro.experiments.chapter4 import build_universe
-from repro.experiments.scales import SMOKE
+from repro.experiments.scales import SMALL, SMOKE
 from repro.resources.binding import Binder
 from repro.resources.churn import ChurnConfig, ChurnEvent, ChurnTrace, ResourceChurn
 from repro.scheduling.base import schedule_dag
@@ -19,6 +20,7 @@ from repro.selection.pipeline import (
     SelectionPipeline,
     baseline_turnaround,
     fastest_free,
+    respecifications,
 )
 from repro.selection.vgdl import VgES
 
@@ -226,6 +228,30 @@ def test_explicit_alternatives_are_every_runs_ladder(platform, spec):
     for request in (_scarce_request(3, 40), _scarce_request(10, 90)):
         outcome = pipeline.run(*request)
         assert (outcome.spec_index, outcome.final_spec) == (1, _smaller(spec))
+
+
+def test_respecifications_schedule_only_the_bands_the_ladder_climbs():
+    # The end-to-end benchmark's refused Montage-3 request on ``small``:
+    # 3.5 GHz with zero clock tolerance.  Sweeping every band's whole
+    # size grid took 120 schedules; the lazy search needs 34, and none
+    # when no alternative is wanted.
+    small = build_universe(SMALL, seed=0)
+    dag = montage_dag(montage_level_counts(3), ccr=0.01)
+    spec = request_specification(
+        "mcp", 9, clock_ghz=3.5, heterogeneity_tolerance=0.0, ccr=0.01,
+        threshold=0.001, dag_name=dag.name,
+    )
+    clocks = tuple(sorted({c.clock_ghz for c in small.clusters}, reverse=True))
+    ranked = [a for a, _ in alternative_specifications(dag, spec, clocks, platform=small)]
+    original = (spec.size, spec.clock_min_mhz, spec.clock_max_mhz)
+    others = [a for a in ranked if (a.size, a.clock_min_mhz, a.clock_max_mhz) != original]
+    for max_respecs, runs in ((3, 34), (0, 0)):
+        with observe.use_registry(observe.MetricsRegistry()) as reg:
+            alts = respecifications(dag, spec, small, max_respecs)
+        assert reg.snapshot()["counters"].get("scheduler.runs", 0) == runs
+        assert alts == others[:max_respecs]
+    for max_respecs in range(1, len(others) + 2):
+        assert respecifications(dag, spec, small, max_respecs) == others[:max_respecs]
 
 
 # ----------------------------------------------------------------------

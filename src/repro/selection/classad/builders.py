@@ -44,15 +44,29 @@ def _build_templates(platform: Platform) -> tuple[ClassAd, ...]:
     """One machine ad per cluster, complete but for the per-host names,
     which hold ``None`` in their ad-order slots until :func:`machine_ad`
     sets them; built once per platform through
-    :meth:`~repro.resources.platform.Platform.derived`."""
+    :meth:`~repro.resources.platform.Platform.derived`.
+
+    Equal literals are one object across the templates: values of the
+    same type and ``repr`` share a :class:`Literal` (type and ``repr``
+    keep ``1``, ``1.0`` and ``true``, and ``0.0`` and ``-0.0``, apart).
+    So ads of different clusters that advertise the same values bind the
+    same expression objects, and a gangmatch scan judges them once
+    (:mod:`repro.selection.classad.matchmaker`).  Like every node, the
+    shared literals are immutable.
+    """
+    shared: dict[tuple[type, str], Literal] = {}
+
+    def literal(value: object) -> Literal:
+        return shared.setdefault((type(value), repr(value)), Literal(value))
+
     templates = []
     for cid in range(platform.n_clusters):
         attrs = platform.cluster_attributes(cid)
-        ad = ClassAd.from_values(
-            {name: None if name in PER_HOST_ATTRIBUTES else attrs[name] for name in ADVERTISED}
-        )
+        ad = ClassAd()
+        for name in ADVERTISED:
+            ad[name] = literal(None if name in PER_HOST_ATTRIBUTES else attrs[name])
         ad["Requirements"] = _DEDICATED
-        ad["Rank"] = Literal(0)
+        ad["Rank"] = literal(0)
         templates.append(ad)
     return tuple(templates)
 

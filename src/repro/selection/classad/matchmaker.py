@@ -11,13 +11,45 @@
   and when a later port cannot be bound, earlier ports fall back to their
   next-ranked candidates.
 
-Both evaluate every advertised ad, in advertisement order, against each
-constraint they scan.  The selection pipeline builds a matchmaker per
-ClassAd select over the hosts free at that moment (each ad a copy of its
-cluster's per-platform template, :func:`~repro.selection.classad.builders
-.machine_ad`) and runs one gangmatch on it.  The advertised set changes
-from select to select, so an index over the ads would be built and probed
-once per select: it costs about one scan and cannot pay for itself.
+The selection pipeline builds a matchmaker per ClassAd select over the
+hosts free at that moment (each ad a copy of its cluster's per-platform
+template, :func:`~repro.selection.classad.builders.machine_ad`) and runs
+one gangmatch on it.  :meth:`~Matchmaker.match` evaluates every ad, in
+advertisement order; a gangmatch scan visits every ad in that order too,
+but evaluates only one ad per distinct *read projection* (below).  The
+advertised set changes from select to select, so nothing is kept between
+calls: an index over the ads would be built and probed once per select,
+and the projection classes are built in one pass per gangmatch.
+
+Read projections
+----------------
+A gangmatch first walks the ads once for their distinct non-literal
+expressions.  Its *read names* are the lowercased names of every
+attribute reference in the request (its ``Ports`` records included) and
+in those expressions, plus ``requirements`` and ``constraint``.  Every
+lookup an evaluation in the search makes into any ad is for a read name:
+a scoped reference resolves to the request, a bound ad or the candidate,
+an unscoped one to MY and then TARGET, and the expression a lookup finds
+is one of those walked (or a literal, which reads nothing).  Two ads
+that bind the same expression *objects* to every read name (or both lack
+it) are twins: within one scan the request, the port and the bound ads
+are fixed, and the evaluator yields no ad of its context as a value (a
+record literal yields its own ad, part of its expression), so its
+results are a function of the expression objects it reaches.  A scan
+therefore evaluates the port's ``Constraint``, the machine's
+``Requirements`` and the port's ``Rank`` for the first ad of each twin
+class it meets and reuses that verdict for the rest; the verdicts live
+for that one scan.  Identity, not equality, decides twins: dataclass
+equality says ``Literal(1) == Literal(True)`` and
+``Literal(0.0) == Literal(-0.0)``, which ClassAd tells apart.  The
+distinct expressions and the twin classes are keyed by ``id()``: the ads
+hold every keyed expression for the whole search, so no address is
+reused, and the keys are only looked up, never iterated (the distinct
+expressions keep the order the ads hold them in), so no order derives
+from an address.  The machine-ad templates share one object per
+distinct literal (:func:`~repro.selection.classad.builders._build_templates`),
+so the generated request reads 17 projections of the 424 ads of an empty
+``small`` platform.
 
 Gangmatch search
 ----------------
@@ -27,15 +59,18 @@ each with its own scoped references renamed to its label.  Labels are
 made unique case-insensitively, because scope lookup is.
 
 A request is *independent* when every scoped reference in it, and in every
-non-literal expression of the advertised machine ads, names ``MY``,
-``SELF`` or ``TARGET``; a port's own ``Constraint``/``Requirements``/
-``Rank`` may also name that port's label.  Then a port's candidates and
-ranks do not depend on other ports' bindings, and every replica of a group
-has the same ones.  So the search scans each group once, into one list
-sorted by ``(-rank, row)``; the group's replicas take strictly
-increasing positions in that list, and the group stops as soon as fewer
-unused candidates remain at or after the current position than it has
-replicas left to bind.  Both rules are exact:
+distinct non-literal expression of the advertised machine ads, names
+``MY``, ``SELF`` or ``TARGET``; a port's own ``Constraint``/
+``Requirements``/``Rank`` may also name that port's label.  Then a
+port's candidates and ranks do not depend on other ports' bindings, and
+every replica of a group has the same ones.  So the search scans each
+group once, into one list sorted by ``(-rank, row)``; the group's
+replicas take strictly increasing positions in that list, and the group
+stops as soon as fewer unused candidates remain at or after the current
+position than it has replicas left to bind.  A replica's unused
+positions are its predecessor's past the one that predecessor took:
+nothing else is bound in between, and each row appears once in the
+list.  Both rules are exact:
 
 * the full search tries assignments in lexicographic order of list
   positions; were two replicas of a group out of order in its first
@@ -52,6 +87,7 @@ independent rescan each port at every node of the search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.selection.classad.evaluator import EvalContext, evaluate
 from repro.selection.classad.parser import (
@@ -145,15 +181,40 @@ _PLAIN_SCOPES = frozenset({"my", "self", "target"})
 _Port = tuple[str, ClassAd, int]
 
 
-def _independent(request: ClassAd, ports: list[_Port], machines: list[ClassAd]) -> bool:
+def _machine_exprs(machines: list[ClassAd]) -> list[Expr]:
+    """The distinct non-literal expressions of the ads, in order of first
+    appearance; ads copied from one template share theirs
+    (:func:`~repro.selection.classad.builders.machine_ad`)."""
+    distinct: dict[int, Expr] = {}
+    for ad in machines:
+        for _, e in ad.items():
+            if not isinstance(e, Literal):
+                distinct.setdefault(id(e), e)  # lint: allow DET006 (the ads outlive the dict)
+    return list(distinct.values())
+
+
+def _read_names(request: ClassAd, exprs: list[Expr]) -> tuple[str, ...]:
+    """Every name a gangmatch evaluation can look up in an ad (the module
+    docstring's read names), sorted; ``exprs`` are
+    :func:`_machine_exprs` of the advertised ads."""
+    # Imported here: repro.analysis imports the selection front ends.
+    from repro.analysis.ir import attr_refs
+
+    names = {"requirements", "constraint"}
+    for expr in [e for _, e in request.items()] + exprs:
+        names.update(r.name.lower() for r in attr_refs(expr))
+    return tuple(sorted(names))
+
+
+def _independent(request: ClassAd, ports: list[_Port], exprs: list[Expr]) -> bool:
     """True when no port's candidates or ranks can depend on another
-    port's binding (the module docstring's rule).
+    port's binding (the module docstring's rule); ``exprs`` are
+    :func:`_machine_exprs` of the advertised ads.
 
     Only the scopes of attribute references are read; nothing is
     evaluated.  The rule relies on :meth:`Matchmaker._ports` having made
     the labels distinct case-insensitively.
     """
-    # Imported here: repro.analysis imports the selection front ends.
     from repro.analysis.ir import attr_refs
 
     def within(expr: Expr, scopes: frozenset[str]) -> bool:
@@ -166,16 +227,7 @@ def _independent(request: ClassAd, ports: list[_Port], machines: list[ClassAd]) 
                 return False
     if not all(within(e, _PLAIN_SCOPES) for n, e in request.items() if n.lower() != "ports"):
         return False
-    # Machine ads usually share one Requirements expression
-    # (builders.machine_ad), so skip the expression just checked.
-    checked = None
-    for ad in machines:
-        for _, e in ad.items():
-            if e is not checked and not isinstance(e, Literal):
-                if not within(e, _PLAIN_SCOPES):
-                    return False
-                checked = e
-    return True
+    return all(within(e, _PLAIN_SCOPES) for e in exprs)
 
 
 @dataclass
@@ -192,6 +244,8 @@ class _GangSearch:
     request: ClassAd
     ports: list[_Port]
     independent: bool
+    #: The read names (module docstring), which decide :attr:`twin`.
+    names: tuple[str, ...]
     used: set[int] = field(default_factory=set)
     bindings: dict[str, ClassAd] = field(default_factory=dict)
     ranks: dict[str, float] = field(default_factory=dict)
@@ -199,60 +253,89 @@ class _GangSearch:
     #: Groups are contiguous: ``ends[g] - i`` replicas of group ``g``
     #: remain to bind from port ``i`` on.
     ends: dict[int, int] = field(init=False)
+    #: ``twin[row]`` is the first row whose ad binds the same expression
+    #: object as row ``row``'s to every read name, or lacks it alike.
+    twin: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
         self.ends = {group: i + 1 for i, (_, _, group) in enumerate(self.ports)}
+        first: dict[tuple[int, ...], int] = {}
+        self.twin = []
+        for row, ad in enumerate(self.machines):
+            key = tuple([id(ad.get(n)) for n in self.names])  # lint: allow DET006 (ads outlive it)
+            self.twin.append(first.setdefault(key, row))
 
     def scan(self, i: int, bound: dict[str, ClassAd], skip: set[int]) -> list[tuple[float, int]]:
         """Port ``i``'s candidates outside ``skip`` as ``(rank, row)``,
-        best first, with ``bound`` visible through their labels."""
-        label, port_ad, _ = self.ports[i]
-        constraint = _requirements(port_ad)
+        best first, with ``bound`` visible through their labels.
+
+        Only the first ad of each twin class is judged; the rest of the
+        class shares its verdict, which lives for this scan alone.
+        """
+        verdicts: dict[int, float | None] = {}
         candidates: list[tuple[float, int]] = []
-        for idx, machine in enumerate(self.machines):
-            if idx in skip:
+        for row, twin in enumerate(self.twin):
+            if row in skip:
                 continue
-            trial = dict(bound)
-            trial[label] = machine
-            ctx = EvalContext(my=self.request, target=machine, bindings=trial)
-            if constraint is not None and evaluate(constraint, ctx) is not True:
-                continue
-            mreq = _requirements(machine)
-            if mreq is not None:
-                mctx = EvalContext(my=machine, target=self.request, bindings=trial)
-                if evaluate(mreq, mctx) is not True:
-                    continue
-            rank = _rank_value(port_ad.get("Rank"), ctx)
-            candidates.append((rank, idx))
+            if twin not in verdicts:
+                verdicts[twin] = self.judge(i, bound, self.machines[row])
+            rank = verdicts[twin]
+            if rank is not None:
+                candidates.append((rank, row))
         candidates.sort(key=lambda t: (-t[0], t[1]))
         return candidates
 
-    def bind(self, i: int, start: int) -> bool:
-        """Bind ports ``i`` onwards, port ``i`` from position ``start``
-        of its group's ranked list; True on the first success."""
+    def judge(self, i: int, bound: dict[str, ClassAd], machine: ClassAd) -> float | None:
+        """``machine``'s rank for port ``i``, or None unless it satisfies
+        the port's constraint and its own ``Requirements``."""
+        label, port_ad, _ = self.ports[i]
+        trial = dict(bound)
+        trial[label] = machine
+        ctx = EvalContext(my=self.request, target=machine, bindings=trial)
+        constraint = _requirements(port_ad)
+        if constraint is not None and evaluate(constraint, ctx) is not True:
+            return None
+        mreq = _requirements(machine)
+        if mreq is not None:
+            mctx = EvalContext(my=machine, target=self.request, bindings=trial)
+            if evaluate(mreq, mctx) is not True:
+                return None
+        return _rank_value(port_ad.get("Rank"), ctx)
+
+    def bind(self, i: int, free: Sequence[int] | None = None) -> bool:
+        """Bind ports ``i`` onwards; True on the first success.
+
+        ``free`` holds the positions of the group's ranked list still
+        open to port ``i`` when it continues a replica group of an
+        independent request (the module docstring's rule); otherwise the
+        positions are found here.
+        """
         if i == len(self.ports):
             return True
         label, _, group = self.ports[i]
-        ends, used = self.ends, self.used
+        used = self.used
         if self.independent:
             # Scanned without ``used`` so the list stays valid when an
-            # earlier group backtracks; used rows are skipped below.
+            # earlier group backtracks; used rows are dropped from free.
             if group not in self.ranked_groups:
                 self.ranked_groups[group] = self.scan(group, {}, set())
-            ranked, need = self.ranked_groups[group], ends[group] - i
+            ranked, need = self.ranked_groups[group], self.ends[group] - i
+            if free is None:
+                free = [p for p, (_, row) in enumerate(ranked) if row not in used]
+            continues = need > 1
         else:
-            ranked, start, need = self.scan(i, self.bindings, used), 0, 1
-        free = [p for p in range(start, len(ranked)) if ranked[p][1] not in used]
+            ranked, need, continues = self.scan(i, self.bindings, used), 1, False
+            free = range(len(ranked))
         for t, p in enumerate(free):
             if len(free) - t < need:
                 break
-            rank, idx = ranked[p]
-            used.add(idx)
-            self.bindings[label] = self.machines[idx]
+            rank, row = ranked[p]
+            used.add(row)
+            self.bindings[label] = self.machines[row]
             self.ranks[label] = rank
-            if self.bind(i + 1, p + 1 if ends[group] > i + 1 else 0):
+            if self.bind(i + 1, free[t + 1 :] if continues else None):
                 return True
-            used.discard(idx)
+            used.discard(row)
             del self.bindings[label]
             del self.ranks[label]
         return False
@@ -302,20 +385,25 @@ class Matchmaker:
 
         Ports are satisfied greedily in order with backtracking: if a later
         port cannot be bound, earlier ports fall back to their next-ranked
-        candidates.  For an independent request (module docstring) each
-        replica group is scanned once, its replicas bind at
-        increasing positions of the group's ranked list, and the group
-        gives up as soon as too few unused candidates remain; the result
-        is the first success of the full search, which otherwise rescans
-        each port at every node.
+        candidates.  Every scan judges one ad per read projection (module
+        docstring).  For an independent request each replica group is
+        scanned once, its replicas bind at increasing positions of the
+        group's ranked list, and the group gives up as soon as too few
+        unused candidates remain; the result is the first success of the
+        full search, which otherwise rescans each port at every node.
         """
         ports = self._ports(request)
         if not ports:
             raise MatchError("gangmatch request carries no Ports attribute")
+        exprs = _machine_exprs(self.machines)
         search = _GangSearch(
-            self.machines, request, ports, _independent(request, ports, self.machines)
+            self.machines,
+            request,
+            ports,
+            _independent(request, ports, exprs),
+            _read_names(request, exprs),
         )
-        if search.bind(0, 0):
+        if search.bind(0):
             return GangMatch(bindings=search.bindings, ranks=search.ranks)
         return None
 
@@ -355,7 +443,9 @@ class Matchmaker:
             count = 1
             if count_expr is not None:
                 v = evaluate(count_expr, EvalContext(my=item.ad))
-                if isinstance(v, int) and v >= 1:
+                # The IR's rule (repro.analysis.ir._classad_count): a
+                # boolean is no count, though Python's bool is an int.
+                if isinstance(v, int) and not isinstance(v, bool) and v >= 1:
                     count = v
                 else:
                     raise MatchError("port Count must be a positive integer")

@@ -64,7 +64,6 @@ from repro.analysis.passes import (
 )
 from repro.analysis.preflight import (
     PreflightResult,
-    cluster_ads,
     preflight_document,
     preflight_specification,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "lint_text",
     "analyze_specification",
     "PreflightResult",
-    "cluster_ads",
     "preflight_document",
     "preflight_specification",
 ]

@@ -908,7 +908,7 @@ def lower_classad(ad: ClassAd, *, text: str | None = None) -> Document:
                 continue
             pad = port.ad
             count, need = _classad_count(pad, text)
-            constraint = pad.get("Constraint")
+            constraint = pad.get("Requirements") or pad.get("Constraint")
             scopes.append(
                 Scope(
                     kind="port",

@@ -3,25 +3,38 @@
 Given a platform snapshot, answer *statically* — without binding anything
 or advancing any clock — whether a specification can possibly be
 fulfilled, and when it cannot, report *which clause eliminates the last
-host*.  The checks are deliberately sound-only:
+host*.  The checks are deliberately sound-only: clause-by-clause host
+elimination, then capacity — do enough matching hosts exist at all?
 
-* clause-by-clause host elimination over per-cluster advertisement ads
-  (clusters are homogeneous, so one evaluation per cluster covers every
-  host; a clause on a per-host name such as ``HostId`` eliminates
-  nothing), and
-* capacity — do enough matching hosts exist at all?
+Every input is first lowered into a :class:`repro.analysis.ir.Document`
+(:func:`~repro.analysis.ir.lower_document` for a document of any
+frontend language, :func:`~repro.analysis.ir.lower_specification` for a
+generated spec, whose one scope states the clock floor on at least
+``min_size`` hosts).  SWORD group scopes eliminate clusters with the
+masks SWORD's engine applies to its
+:func:`~repro.selection.sword.cluster_table`.  Every other scope is
+judged by its engine's rule, on one ad per cluster (clusters are
+homogeneous), in the context that engine builds:
 
-Every input is first lowered into a :class:`repro.analysis.ir.Document`:
-a document of any frontend language (vgDL, ClassAds, SWORD XML, JSON
-specification documents) by :func:`~repro.analysis.ir.lower_document`,
-and a generated specification by
-:func:`~repro.analysis.ir.lower_specification`, whose one scope states
-the clock floor on at least ``min_size`` hosts.  Two walkers read the
-lowered scopes: one loop evaluates every ClassAd-expression scope (vgDL
-aggregates, gangmatch ports, a bilateral request, a specification)
-clause by clause against the cluster ads, and SWORD group scopes
-eliminate clusters through their 5-tuple required ranges and hard
-categoricals, as SWORD's engine does.
+* vgDL aggregates, generated specs and JSON documents on
+  :func:`~repro.selection.vgdl.cluster_ads`, the ad as ``MY``, as
+  :meth:`~repro.selection.vgdl.VgES.matching_clusters` does;
+* ClassAd ports on
+  :func:`~repro.selection.classad.builders.machine_templates`, the
+  request as ``MY`` and the template as ``TARGET`` and as the port's
+  label, as a gangmatch judges a candidate with nothing bound yet (it
+  never reads the request's ``Requirements``); a ClassAd request without
+  ports by its ``Requirements``, the template as ``TARGET``, as
+  :meth:`~repro.selection.classad.matchmaker.Matchmaker.satisfies` does.
+
+A host holds iff its constraint is TRUE: a lone clause must be TRUE, and
+an ``&&`` chain is TRUE iff every clause is after
+:func:`~repro.selection.classad.evaluator.as_logical`.  A template
+differs from its machine ads only in the per-host names, which it holds
+as ``None``: a clause that may read one, or in a port another port's
+label (bound to a machine the preflight cannot know), keeps every
+cluster.  A machine's own ``Requirements``, ``LoadAvg <= 0.5``, holds on
+every cluster.
 
 Connectivity, latency-zone packing and contention are *not* modelled
 here: a spec this module calls unsatisfiable is genuinely hopeless on the
@@ -41,16 +54,18 @@ import numpy as np
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis import ir
 from repro.resources.platform import PER_HOST_ATTRIBUTES
-from repro.selection.classad.evaluator import EvalContext, evaluate
-from repro.selection.classad.parser import ClassAd
+from repro.selection.classad.builders import machine_templates
+from repro.selection.classad.evaluator import EvalContext, as_logical, evaluate
+from repro.selection.classad.matchmaker import _PLAIN_SCOPES
+from repro.selection.classad.parser import ClassAd, Expr
 from repro.selection.sword import cluster_table, in_required_range, matches_category
-from repro.selection.vgdl import ADVERTISED as VGES_ADVERTISED
+from repro.selection.vgdl import cluster_ads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.generator import ResourceSpecification
     from repro.resources.platform import Platform
 
-__all__ = ["PreflightResult", "cluster_ads", "preflight_specification", "preflight_document"]
+__all__ = ["PreflightResult", "preflight_specification", "preflight_document"]
 
 
 @dataclass(frozen=True)
@@ -79,80 +94,63 @@ class PreflightResult:
         return first.format() if first is not None else "unsatisfiable"
 
 
-#: The host attributes a preflight cluster ad advertises, in ad order
-#: (values from :meth:`repro.resources.platform.Platform.cluster_attributes`):
-#: the vgES names plus the per-cluster names of the ClassAd machine ads.
-ADVERTISED = ("Type", *VGES_ADVERTISED, "LoadAvg", "CpuLoad", "KeyboardIdle")
-
-#: Lowercase per-host names: a cluster ad cannot decide a clause on them.
+#: Lowercase per-host names: no per-cluster ad answers them.
 _PER_HOST = frozenset(name.lower() for name in PER_HOST_ATTRIBUTES)
 
 
-def cluster_ads(platform: "Platform") -> tuple[tuple[ClassAd, int], ...]:
-    """Per-cluster advertisement ads and host counts.
-
-    Each ad carries every per-cluster name the vgES cluster ads and the
-    ClassAd machine ads advertise (and ``CpuLoad``), so any request the
-    generator can emit evaluates without UNDEFINED surprises.  The
-    per-host names
-    (:data:`~repro.resources.platform.PER_HOST_ATTRIBUTES`) are left out
-    because no cluster ad can answer them — :func:`_preflight_clauses`
-    keeps every cluster for a clause that references one — and so is
-    ``ClusterId``, which no engine advertises.
-
-    Built once per platform
-    (:meth:`~repro.resources.platform.Platform.derived`) and shared by
-    every preflight over it; no caller mutates the ads.
-    """
-    return platform.derived(_build_cluster_ads)
-
-
-def _build_cluster_ads(platform: "Platform") -> tuple[tuple[ClassAd, int], ...]:
-    out: list[tuple[ClassAd, int]] = []
-    for cid, spec in enumerate(platform.clusters):
-        attrs = platform.cluster_attributes(cid)
-        ad = ClassAd.from_values({name: attrs[name] for name in ADVERTISED})
-        out.append((ad, int(spec.n_hosts)))
-    return tuple(out)
+def _undecidable(expr: Expr, request: ClassAd | None, own: frozenset[str] | None) -> bool:
+    """True when evaluating ``expr`` may read a per-host name or, when
+    ``own`` holds a port's scopes, any other scope; names the
+    ``request`` (``MY``) defines are followed into their expressions."""
+    todo, seen = [expr], set()
+    while todo:
+        for ref in ir.attr_refs(todo.pop()):
+            name, scope = ref.name.lower(), (ref.scope or "my").lower()
+            if name in _PER_HOST or (own is not None and scope not in own):
+                return True
+            mine = request is not None and scope in ("my", "self")
+            follow = request.get(name) if mine else None
+            if follow is not None and name not in seen:
+                seen.add(name)
+                todo.append(follow)
+    return False
 
 
 def _preflight_clauses(
-    clauses: tuple[ir.Clause, ...],
+    scope: ir.Scope,
+    request: ClassAd | None,
     platform: "Platform",
     *,
-    min_hosts: int,
-    label: str | None,
     lang: str,
     report: DiagnosticReport,
 ) -> PreflightResult:
-    """Clause-by-clause host elimination over lowered IR clauses.
-
-    A clause that references a per-host name keeps every surviving
-    cluster: its hosts may differ on it, so eliminating them would not
-    be sound.
-    """
-    ads = cluster_ads(platform)
-    empty = ClassAd()
-    alive = list(range(len(ads)))
+    """Clause-by-clause host elimination over one scope's constraint, in
+    its engine's context (module docstring); ``request`` is the ClassAd
+    request of a ClassAd scope, None for a vgDL, spec or JSON one."""
+    label = scope.label
+    own = _PLAIN_SCOPES | {(label or "").lower()} if scope.kind == "port" else None
+    if request is None:
+        contexts = [EvalContext(my=ad) for ad in cluster_ads(platform)]
+    else:
+        contexts = [
+            EvalContext(request, t, {} if label is None else {label: t})
+            for t in machine_templates(platform)
+        ]
+    sizes = [spec.n_hosts for spec in platform.clusters]
+    alive = list(range(platform.n_clusters))
     trace: list[tuple[str, int]] = []
     eliminating: str | None = None
-    for clause in clauses:
-        if any(ref.name.lower() in _PER_HOST for ref in ir.attr_refs(clause.expr)):
-            survivors = alive
-        else:
-            survivors = []
-            for idx in alive:
-                ad = ads[idx][0]
-                if label is None:
-                    ctx = EvalContext(my=ad)
-                else:
-                    ctx = EvalContext(my=empty, bindings={label: ad})
-                if evaluate(clause.expr, ctx) is True:
-                    survivors.append(idx)
-        hosts = sum(ads[i][1] for i in survivors)
+    for clause in scope.constraint.clauses:
+        survivors = alive
+        if not _undecidable(clause.expr, request, own):
+            values = [evaluate(clause.expr, contexts[i]) for i in alive]
+            if not scope.constraint.strict:
+                values = [as_logical(v) for v in values]
+            survivors = [i for i, v in zip(alive, values) if v is True]
         rendered = clause.expr.unparse()
-        trace.append((rendered, hosts))
-        if not survivors and alive:
+        trace.append((rendered, sum(sizes[i] for i in survivors)))
+        alive, before = survivors, alive
+        if before and not alive:
             eliminating = rendered
             report.add(
                 "SPEC201",
@@ -162,22 +160,20 @@ def _preflight_clauses(
                 f"{platform.n_clusters} clusters)",
                 lang,
             )
-            alive = survivors
             break
-        alive = survivors
-    matching = sum(ads[i][1] for i in alive)
-    if eliminating is None and matching < min_hosts:
+    matching = sum(sizes[i] for i in alive)
+    if eliminating is None and matching < scope.min_hosts:
         report.add(
             "SPEC202",
             "error",
             f"only {matching} hosts match the constraint but the request "
-            f"needs at least {min_hosts}",
+            f"needs at least {scope.min_hosts}",
             lang,
         )
     return PreflightResult(
         satisfiable=not report.has_errors,
         matching_hosts=matching,
-        required_hosts=min_hosts,
+        required_hosts=scope.min_hosts,
         report=report,
         eliminating_clause=eliminating,
         trace=tuple(trace),
@@ -227,27 +223,21 @@ def _preflight_scopes(
     specification document; the first unsatisfiable one, else the first
     one, is the verdict.
 
-    A ClassAd request's bilateral ``Requirements`` is checked only when
-    no port carries a constraint.  A document with no constraint at all
-    is satisfiable by every host.  vgDL aggregates are disjoint
-    collections, so their lower bounds must also fit the platform
-    combined.  A JSON document's findings carry the ``spec`` tag, like
-    a generated spec's.
+    A ClassAd request with ports is judged by its ports alone, one
+    without by its bilateral ``Requirements``.  A document with no
+    constraint to judge is satisfiable by every host.  vgDL aggregates
+    are disjoint collections, so their lower bounds must also fit the
+    platform combined.  A JSON document's findings carry the ``spec``
+    tag, like a generated spec's.
     """
     lang = "spec" if doc.lang == "json" else doc.lang
-    scopes = [s for s in doc.scopes if s.constraint is not None and s.kind != "request"]
-    if not scopes:
-        scopes = [s for s in doc.scopes if s.constraint is not None]
+    request = doc.source if doc.lang == "classad" else None
+    ports = [s for s in doc.scopes if s.kind == "port"]
     verdict: PreflightResult | None = None
-    for scope in scopes:
-        res = _preflight_clauses(
-            scope.constraint.clauses,
-            platform,
-            min_hosts=scope.min_hosts,
-            label=scope.label,
-            lang=lang,
-            report=report,
-        )
+    for scope in ports or doc.scopes:
+        if scope.constraint is None:
+            continue
+        res = _preflight_clauses(scope, request, platform, lang=lang, report=report)
         if verdict is None or (verdict.satisfiable and not res.satisfiable):
             verdict = res
     if doc.lang == "vgdl":

@@ -146,10 +146,10 @@ class Platform:
         """What every host of cluster ``cluster_id`` advertises.
 
         The one attribute model of the platform, under the ClassAd/vgDL
-        names: the vgES cluster ads, the ClassAd machine ads, SWORD's
-        attribute table and the preflight's cluster ads each project
-        the names they advertise from it.  Clusters are homogeneous, so
-        every name but :data:`PER_HOST_ATTRIBUTES` is a cluster's.
+        names: the vgES cluster ads, the ClassAd machine ads and SWORD's
+        attribute table each project the names they advertise from it,
+        and the preflight reads those three.  Clusters are homogeneous,
+        so every name but :data:`PER_HOST_ATTRIBUTES` is a cluster's.
         """
         spec = self.clusters[cluster_id]
         return {
@@ -218,8 +218,8 @@ class Platform:
         afterwards.
 
         The memo of the selection tables that depend on the platform
-        alone (the vgES and preflight cluster ads, the ClassAd machine-ad
-        templates, SWORD's cluster table), keyed by the module-level
+        alone (the vgES cluster ads, the ClassAd machine-ad templates,
+        SWORD's cluster table), keyed by the module-level
         builder.  What it returns is shared by every later caller, so
         builders return tuples and read-only arrays, and no caller
         mutates them.  Nothing keyed by a request belongs here.

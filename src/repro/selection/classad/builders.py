@@ -13,7 +13,7 @@ from typing import Iterable
 from repro.resources.platform import PER_HOST_ATTRIBUTES, Platform
 from repro.selection.classad.parser import ClassAd, Literal, parse_expression
 
-__all__ = ["machine_ad", "machine_ads", "job_request_ad"]
+__all__ = ["machine_ad", "machine_ads", "machine_templates", "job_request_ad"]
 
 #: The host attributes a machine ad advertises, in ad order (values from
 #: :meth:`repro.resources.platform.Platform.host_attributes`; the
@@ -40,11 +40,12 @@ ADVERTISED = (
 _DEDICATED = parse_expression("LoadAvg <= 0.5")
 
 
-def _build_templates(platform: Platform) -> tuple[ClassAd, ...]:
+def machine_templates(platform: Platform) -> tuple[ClassAd, ...]:
     """One machine ad per cluster, complete but for the per-host names,
     which hold ``None`` in their ad-order slots until :func:`machine_ad`
     sets them; built once per platform through
-    :meth:`~repro.resources.platform.Platform.derived`.
+    :meth:`~repro.resources.platform.Platform.derived` and read by
+    :func:`machine_ad` and the platform preflight.
 
     Equal literals are one object across the templates: values of the
     same type and ``repr`` share a :class:`Literal` (type and ``repr``
@@ -54,6 +55,10 @@ def _build_templates(platform: Platform) -> tuple[ClassAd, ...]:
     (:mod:`repro.selection.classad.matchmaker`).  Like every node, the
     shared literals are immutable.
     """
+    return platform.derived(_build_templates)
+
+
+def _build_templates(platform: Platform) -> tuple[ClassAd, ...]:
     shared: dict[tuple[type, str], Literal] = {}
 
     def literal(value: object) -> Literal:
@@ -74,8 +79,7 @@ def _build_templates(platform: Platform) -> tuple[ClassAd, ...]:
 def machine_ad(platform: Platform, host_id: int) -> ClassAd:
     """Workstation advertisement (Fig. II-3) for one platform host: a
     copy of its cluster's template with the per-host names set."""
-    templates = platform.derived(_build_templates)
-    ad = templates[int(platform.host_cluster[host_id])].copy()
+    ad = machine_templates(platform)[int(platform.host_cluster[host_id])].copy()
     for name, value in platform.per_host_attributes(host_id).items():
         ad[name] = Literal(value)
     return ad

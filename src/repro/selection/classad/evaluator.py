@@ -7,8 +7,9 @@ Implements the classic ClassAd semantics the Condor matchmaker relies on:
 * ``ERROR`` for type mismatches; ``=?=`` / ``=!=`` ("is" / "isnt") compare
   without UNDEFINED propagation;
 * unqualified attribute lookup in MY then TARGET; ``MY.x`` / ``TARGET.x``
-  explicit scopes; gangmatch label scopes (``cpu.KFlops``) resolve through
-  the context's label bindings;
+  explicit scopes, with ``SELF`` and ``OTHER`` (the names of Raman, Livny
+  and Solomon's matchmaking paper) as aliases; gangmatch label scopes
+  (``cpu.KFlops``) resolve through the context's label bindings;
 * string comparison is case-insensitive (Condor convention).
 """
 
@@ -90,11 +91,11 @@ class EvalContext:
     bindings: Mapping[str, ClassAd] = field(default_factory=dict)
 
     def scope(self, name: str) -> ClassAd | None:
-        """Resolve a scope name (MY/SELF/TARGET or a gangmatch label)."""
+        """Resolve a scope name (MY/SELF/TARGET/OTHER or a gangmatch label)."""
         low = name.lower()
         if low in ("my", "self"):
             return self.my
-        if low == "target":
+        if low in ("target", "other"):
             return self.target
         for label, ad in self.bindings.items():
             if label.lower() == low:
@@ -229,10 +230,10 @@ def _as_logical(v: object) -> object:
 def as_logical(v: object) -> object:
     """The truth value an operand contributes inside ``&&``/``||``.
 
-    Public so consumers that split a conjunction apart (the index planner's
-    residual check) can reproduce the chain's coercion exactly: a bare
-    numeric conjunct counts as true iff non-zero, anything non-coercible is
-    ERROR.
+    Public so consumers that split a conjunction apart (the platform
+    preflight, the index planner's residual check) can reproduce the
+    chain's coercion exactly: a bare numeric conjunct counts as true iff
+    non-zero, anything non-coercible is ERROR.
     """
     return _as_logical(v)
 

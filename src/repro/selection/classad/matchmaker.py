@@ -47,7 +47,7 @@ hold every keyed expression for the whole search, so no address is
 reused, and the keys are only looked up, never iterated (the distinct
 expressions keep the order the ads hold them in), so no order derives
 from an address.  The machine-ad templates share one object per
-distinct literal (:func:`~repro.selection.classad.builders._build_templates`),
+distinct literal (:func:`~repro.selection.classad.builders.machine_templates`),
 so the generated request reads 17 projections of the 424 ads of an empty
 ``small`` platform.
 
@@ -60,7 +60,7 @@ made unique case-insensitively, because scope lookup is.
 
 A request is *independent* when every scoped reference in it, and in every
 distinct non-literal expression of the advertised machine ads, names
-``MY``, ``SELF`` or ``TARGET``; a port's own ``Constraint``/
+``MY``, ``SELF``, ``TARGET`` or ``OTHER``; a port's own ``Constraint``/
 ``Requirements``/``Rank`` may also name that port's label.  Then a
 port's candidates and ranks do not depend on other ports' bindings, and
 every replica of a group has the same ones.  So the search scans each
@@ -174,7 +174,7 @@ def _rank_value(rank_expr: Expr | None, ctx: EvalContext) -> float:
 
 #: A port's own label may appear as a scope only in these attributes.
 _PORT_EXPRS = ("constraint", "requirements", "rank")
-_PLAIN_SCOPES = frozenset({"my", "self", "target"})
+_PLAIN_SCOPES = frozenset({"my", "self", "target", "other"})
 
 #: One expanded port: its unique label, its ad, and its replica group (the
 #: position of the group's first port).

@@ -61,6 +61,7 @@ __all__ = [
     "VgdlSpec",
     "VirtualGrid",
     "VgES",
+    "cluster_ads",
     "parse_vgdl",
     "TIGHT_BANDWIDTH_BPS",
     "CLOSE_BANDWIDTH_BPS",
@@ -299,11 +300,16 @@ def parse_vgdl(text: str) -> VgdlSpec:
 # ----------------------------------------------------------------------
 # Selection engine (the vgFAB of §II.4.1)
 # ----------------------------------------------------------------------
-def _build_cluster_ads(platform: Platform) -> tuple[ClassAd, ...]:
+def cluster_ads(platform: Platform) -> tuple[ClassAd, ...]:
     """One vgES ad per cluster, the :data:`ADVERTISED` projection of
     :meth:`~repro.resources.platform.Platform.cluster_attributes`; built
     once per platform through
-    :meth:`~repro.resources.platform.Platform.derived`."""
+    :meth:`~repro.resources.platform.Platform.derived` and read by
+    :class:`VgES` and the platform preflight."""
+    return platform.derived(_build_cluster_ads)
+
+
+def _build_cluster_ads(platform: Platform) -> tuple[ClassAd, ...]:
     ads = []
     for cid in range(platform.n_clusters):
         attrs = platform.cluster_attributes(cid)
@@ -330,7 +336,7 @@ class VgES:
     _cluster_ads: tuple[ClassAd, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._cluster_ads = self.platform.derived(_build_cluster_ads)
+        self._cluster_ads = cluster_ads(self.platform)
 
     # -- cluster-level matching ----------------------------------------
     def matching_clusters(self, constraint: Expr) -> np.ndarray:

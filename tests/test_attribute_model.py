@@ -2,14 +2,14 @@
 
 :meth:`Platform.cluster_attributes` / :meth:`Platform.host_attributes`
 define what a host advertises; the vgES cluster ads, the ClassAd machine
-ads, SWORD's attribute table and the preflight's cluster ads each list
-the names they carry and take the values from the model.
+ads and SWORD's attribute table each list the names they carry and take
+the values from the model.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis import ir, preflight
+from repro.analysis import ir
 from repro.experiments.chapter4 import build_universe
 from repro.experiments.scales import get_scale
 from repro.resources.platform import PER_HOST_ATTRIBUTES
@@ -52,16 +52,6 @@ def test_machine_ads_project_the_model(platform):
         ad = builders.machine_ad(platform, host)
         assert list(ad) == [*builders.ADVERTISED, "Requirements", "Rank"]
         _assert_projects(ad, builders.ADVERTISED, platform.host_attributes(host))
-
-
-def test_preflight_cluster_ads_project_the_model(platform):
-    ads = preflight.cluster_ads(platform)
-    assert [n for _, n in ads] == [c.n_hosts for c in platform.clusters]
-    for cid, (ad, _) in enumerate(ads):
-        assert len(ad) == len(preflight.ADVERTISED)
-        _assert_projects(ad, preflight.ADVERTISED, platform.cluster_attributes(cid))
-    # No cluster ad can answer a per-host name.
-    assert not set(PER_HOST_ATTRIBUTES) & set(preflight.ADVERTISED)
 
 
 def test_sword_attributes_project_the_model(platform):

@@ -95,6 +95,29 @@ def test_requirements_falls_back_to_constraint():
     assert len(mm.match(req)) == 1
 
 
+def test_other_scope_matches_as_target_does():
+    # ``other.`` is the target's name in Raman, Livny and Solomon's
+    # matchmaking paper: a request written with it matches and ranks the
+    # machines its ``TARGET.`` twin does.
+    mm = Matchmaker(machine_ads(build_universe(SMALL, 0)))
+    other = '[ Requirements = other.Clock >= 1000 && other.OpSys == "LINUX"; Rank = other.Clock ]'
+    twin = other.replace("other.", "TARGET.")
+    got, want = (
+        [(m.machine["HostId"], m.rank) for m in mm.match(parse_classad(text))]
+        for text in (other, twin)
+    )
+    assert got and got == want
+
+
+def test_a_port_written_with_other_keeps_the_independent_search():
+    request = parse_classad(
+        "[ Ports = { [ Label = cpu; Count = 2; Constraint = other.Clock >= 2000;"
+        " Rank = other.Clock ] } ]"
+    )
+    exprs = matchmaker._machine_exprs([_machine(HostId=h) for h in range(3)])
+    assert matchmaker._independent(request, Matchmaker._ports(request), exprs)
+
+
 def test_gangmatch_two_ports():
     mm = Matchmaker([_machine(Arch="OPTERON"), _machine(Arch="XEON")])
     req = parse_classad(

@@ -1,10 +1,11 @@
 """The selection tables built once per platform through ``Platform.derived``.
 
-The vgES cluster ads, the ClassAd machine-ad templates, the preflight's
-cluster ads and SWORD's cluster table are pure functions of the
-platform.  Each is built on first use and shared by every later select
-and preflight on that platform; nothing a select or preflight does may
-change them, and no request-dependent state is kept.
+The vgES cluster ads, the ClassAd machine-ad templates and SWORD's
+cluster table are pure functions of the platform.  Each is built on
+first use and shared by every later select and preflight on that
+platform (the preflight reads the engines' tables and builds none of
+its own); nothing a select or preflight does may change them, and no
+request-dependent state is kept.
 """
 
 import gc
@@ -27,7 +28,6 @@ from repro.selection.pipeline import BACKENDS, select_once
 BUILDERS = {
     "vges": vgdl._build_cluster_ads,
     "machine_templates": builders._build_templates,
-    "preflight": preflight._build_cluster_ads,
     "sword": sword._build_cluster_table,
 }
 
@@ -58,7 +58,7 @@ def _snapshot(table) -> list:
     each column."""
     if isinstance(table, tuple) and isinstance(table[0], dict):  # SWORD's columns
         return [{tag: col.tolist() for tag, col in part.items()} for part in table]
-    return [ad.unparse() if isinstance(ad, ClassAd) else (ad[0].unparse(), ad[1]) for ad in table]
+    return [ad.unparse() for ad in table]
 
 
 def _exercise(platform: Platform) -> None:
@@ -90,7 +90,9 @@ def test_each_table_is_built_once_per_platform(platform, monkeypatch):
 
     monkeypatch.setattr(Platform, "cluster_attributes", counting)
     _exercise(platform)
-    # Each of the four builders reads every cluster once.
+    # Each of the three builders reads every cluster once; the preflights
+    # build no table of their own.
+    assert set(platform._derived) == set(BUILDERS.values())
     assert sorted(calls) == sorted(list(range(platform.n_clusters)) * len(BUILDERS))
     for _ in range(3):
         _exercise(platform)
@@ -104,8 +106,9 @@ def test_two_platforms_never_share_a_table():
         assert a is not b
         assert _snapshot(a) == _snapshot(build(first))
         assert _snapshot(b) == _snapshot(build(second))
-    assert vgdl.VgES(first)._cluster_ads is first.derived(vgdl._build_cluster_ads)
-    assert preflight.cluster_ads(second) is second.derived(preflight._build_cluster_ads)
+    assert vgdl.VgES(first)._cluster_ads is vgdl.cluster_ads(first)
+    assert vgdl.cluster_ads(first) is first.derived(vgdl._build_cluster_ads)
+    assert builders.machine_templates(second) is second.derived(builders._build_templates)
     assert sword.cluster_table(second) is second.derived(sword._build_cluster_table)
 
 
